@@ -14,8 +14,8 @@ from . import __version__
 from .corrector import build_corrector_set, save_corrector_set
 from .diagnostics import growth_profile, minimal_radius
 from .ensemble import (KINDS, ExperimentPlan, records_to_csv, run_ensemble,
-                       summarize)
-from .lattice import GridSpec, save_field
+                       sample_coefficients, summarize)
+from .lattice import Ball, ball_mask, save_field
 from .partition import build_partition, check_refinement, interaction_sum
 from .randomfield import (CovarianceSpec, SeedSpec, beta_effective,
                           empirical_covariance, sample_gaussian)
@@ -136,7 +136,6 @@ def cmd_sample(cfg, outdir):
     grid = plan.grid()
     fields = []
     for index in range(plan.m):
-        from .ensemble import sample_coefficients
         a = sample_coefficients(plan, index)
         path = os.path.join(outdir, f"coefficients_{index:04d}.bin")
         save_field(path, a.a, grid.d)
@@ -159,7 +158,6 @@ def cmd_sample(cfg, outdir):
 
 def cmd_corrector(cfg, outdir):
     plan = _plan_from_config(cfg, "scaling")
-    from .ensemble import sample_coefficients
     a = sample_coefficients(plan, 0)
     corr = build_corrector_set(a, plan.opts())
     summary = save_corrector_set(corr, outdir)
@@ -168,7 +166,6 @@ def cmd_corrector(cfg, outdir):
 
 def cmd_diagnose(cfg, outdir):
     plan = _plan_from_config(cfg, "growth")
-    from .ensemble import sample_coefficients
     a = sample_coefficients(plan, 0)
     corr = build_corrector_set(a, plan.opts())
     radii = plan.effective_radii()
@@ -205,9 +202,8 @@ def cmd_partition_check(cfg, outdir):
     c_meas = check_refinement(part)
     gamma = max(cfg["gamma"], d * (1.0 - beta) + 0.5)
     inter = interaction_sum(part, gamma)
-    lines = ["corner," * d + "side,diam,dist,n_sub"]
-    lines[0] = ",".join([f"corner{j}" for j in range(d)]
-                        + ["side", "diam", "dist", "n_sub"])
+    lines = [",".join([f"corner{j}" for j in range(d)]
+                      + ["side", "diam", "dist", "n_sub"])]
     diam, dist = part.diam, part.dist
     for i in range(part.corners.shape[0]):
         row = [repr(c) for c in part.corners[i]]
@@ -223,8 +219,6 @@ def cmd_partition_check(cfg, outdir):
 
 def cmd_sensitivity_check(cfg, outdir):
     plan = _plan_from_config(cfg, "scaling")
-    from .ensemble import sample_coefficients
-    from .lattice import ball_mask, Ball
     a = sample_coefficients(plan, 0)
     grid = plan.grid()
     opts = plan.opts()
@@ -238,9 +232,10 @@ def cmd_sensitivity_check(cfg, outdir):
     results = {}
     for kind in ("phi", "sigma"):
         spec = FunctionalSpec(kind, g)
+        deriv = malliavin_derivative(a, spec, opts)
         for name, da in (("sym", np.eye(grid.d)),
                          ("skew", _skew_dir(grid.d))):
-            err, fd, adj = fd_check(a, spec, cell, da, t, opts)
+            err, fd, adj = fd_check(a, spec, cell, da, t, opts, deriv)
             results[f"{kind}_{name}"] = {"relative_error": err,
                                          "fd": fd, "adjoint": adj}
     payload = {"schema": 1, "cell": list(cell), "step": t, "checks": results}

@@ -28,6 +28,7 @@ __all__ = [
     "compute_corrector",
     "compute_flux_and_ahom",
     "compute_sigma",
+    "sigma_component",
     "compute_modified",
     "compute_F_RT",
     "build_corrector_set",
@@ -108,7 +109,9 @@ class ModifiedCorrectorSet:
 
 def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
                       directions=None):
-    """phi_i for the requested directions (all by default)."""
+    """phi_i for the requested directions (all by default); the other
+    phi_i stay zero, so pass a partial result to ``compute_flux_and_ahom``
+    only to read the requested columns."""
     d = a.grid.d
     directions = range(d) if directions is None else directions
     phi = np.zeros((d,) + a.grid.shape)
@@ -125,6 +128,22 @@ def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
     return phi, reports
 
 
+def _flux(a: CoefficientField, phi_i, i):
+    """a (grad phi_i + e_i) and its torus mean."""
+    d = a.grid.d
+    gp = grad(phi_i)
+    gp[i] += 1.0
+    flux = np.einsum("pq...,q...->p...", a.a, gp)
+    return flux, flux.reshape(d, -1).mean(axis=1)
+
+
+def _curl(q_i, j, k):
+    """d_j q_ik - d_k q_ij with forward differences: the right-hand side of
+    the sigma_ijk equation."""
+    return (np.roll(q_i[k], -1, axis=j) - q_i[k]
+            - np.roll(q_i[j], -1, axis=k) + q_i[j])
+
+
 def compute_flux_and_ahom(a: CoefficientField, phi):
     """Fluxes q_i (mean-zero exactly) and a_hom column i =
     mean of a (grad phi_i + e_i)."""
@@ -132,10 +151,7 @@ def compute_flux_and_ahom(a: CoefficientField, phi):
     q = np.zeros((d, d) + a.grid.shape)
     a_hom = np.zeros((d, d))
     for i in range(d):
-        gp = grad(phi[i])
-        gp[i] += 1.0
-        flux = np.einsum("pq...,q...->p...", a.a, gp)
-        mean = flux.reshape(d, -1).mean(axis=1)
+        flux, mean = _flux(a, phi[i], i)
         a_hom[:, i] = mean
         q[i] = flux - mean.reshape((d,) + (1,) * d)
     sym = (a_hom + a_hom.T) / 2
@@ -156,10 +172,16 @@ def compute_sigma(q):
     vals = np.zeros((d, len(pairs)) + shape)
     for i in range(d):
         for p, (j, k) in enumerate(pairs):
-            rhs = (np.roll(q[i, k], -1, axis=j) - q[i, k]
-                   - np.roll(q[i, j], -1, axis=k) + q[i, j])
-            vals[i, p] = poisson_solve(rhs)
+            vals[i, p] = poisson_solve(_curl(q[i], j, k))
     return SkewField(vals, d)
+
+
+def sigma_component(a: CoefficientField, phi_i, i, j, k):
+    """The one component sigma_ijk, from phi_i alone: the flux q_i and a
+    single Poisson solve, equal to ``compute_sigma``'s."""
+    d = a.grid.d
+    flux, mean = _flux(a, phi_i, i)
+    return poisson_solve(_curl(flux - mean.reshape((d,) + (1,) * d), j, k))
 
 
 def compute_modified(a: CoefficientField, T, opts: SolveOptions = None):
@@ -187,8 +209,7 @@ def compute_modified(a: CoefficientField, T, opts: SolveOptions = None):
     sym = 1.0 / T + laplacian_symbol(grid.shape, rfft=True)
     for i in range(d):
         for p, (j, k) in enumerate(pairs):
-            rhs = (np.roll(q_T[i, k], -1, axis=j) - q_T[i, k]
-                   - np.roll(q_T[i, j], -1, axis=k) + q_T[i, j])
+            rhs = _curl(q_T[i], j, k)
             vals[i, p] = np.fft.irfftn(np.fft.rfftn(rhs) / sym, s=grid.shape,
                                       axes=range(grid.d))
     sigma_T = SkewField(vals, d)
@@ -227,9 +248,9 @@ def compute_F_RT(mod: ModifiedCorrectorSet, R, center=None):
     return float(np.sqrt(max(f_sq, 0.0)))
 
 
-def build_corrector_set(a: CoefficientField, opts: SolveOptions = None,
-                        directions=None):
-    phi, reports = compute_corrector(a, opts, directions)
+def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):
+    """Correctors of all d directions, their fluxes, a_hom and sigma."""
+    phi, reports = compute_corrector(a, opts)
     q, tensor = compute_flux_and_ahom(a, phi)
     sigma = compute_sigma(q)
     gp = np.stack([grad(phi[i]) for i in range(a.grid.d)])

@@ -57,9 +57,10 @@ class ExperimentPlan:
         if self.m < 2:
             raise ValueError("need at least 2 realizations")
         grid = GridSpec(self.d, self.n)
+        frac = 8 if self.kind == "growth" else 4
         for r in self.radii:
-            if r > grid.n / 4:
-                raise ValueError(f"radius {r} exceeds L/4")
+            if r > grid.n / frac:
+                raise ValueError(f"{self.kind} radius {r} exceeds L/{frac}")
 
     @property
     def beta_eff(self):

@@ -135,11 +135,31 @@ def ball_mask(grid: GridSpec, ball: Ball):
     return periodic_dist_sq(grid, ball.center) <= ball.radius**2
 
 
+def _field_grid(u, d=None):
+    """The grid of a field whose trailing axes are the grid axes.  Without
+    ``d`` the grid axes are the trailing axes of length ``u.shape[-1]``;
+    a shape where that leaves d outside {2, 3} cannot be resolved."""
+    u = np.asarray(u)
+    if d is None:
+        d = 0
+        while d < u.ndim and u.shape[-1 - d] == u.shape[-1]:
+            d += 1
+        if d not in (2, 3):
+            raise ValueError(f"cannot tell the grid axes of a field of shape "
+                             f"{u.shape}; pass grid")
+    grid = GridSpec(d, u.shape[-1])
+    if u.shape[u.ndim - d:] != grid.shape:
+        raise ValueError(f"field of shape {u.shape} is not on a "
+                         f"{d}D grid")
+    return grid
+
+
 def ball_average(u, ball: Ball, grid: GridSpec = None):
     """Arithmetic mean of u over the discrete ball; componentwise for
-    fields with leading axes."""
+    fields with leading axes.  Without ``grid`` the dimension is that of
+    the ball's center."""
     if grid is None:
-        grid = GridSpec(u.ndim if u.ndim <= 3 else u.ndim - 1, u.shape[-1])
+        grid = _field_grid(u, len(ball.center))
     mask = ball_mask(grid, ball)
     if u.ndim == grid.d:
         return float(u[mask].mean())
@@ -177,9 +197,11 @@ def ball_mean_field(u, radius, grid: GridSpec):
 
 def box_mollify(u, scale, grid: GridSpec = None):
     """Moving simple average over balls of radius ``scale``; linear and
-    mass-preserving; the single-cell limit returns the field unchanged."""
+    mass-preserving; the single-cell limit returns the field unchanged.
+    Without ``grid`` the grid axes are the trailing axes of length
+    ``u.shape[-1]``, and a shape that does not resolve raises ValueError."""
     if grid is None:
-        grid = GridSpec(u.ndim if u.ndim <= 3 else u.ndim - 1, u.shape[-1])
+        grid = _field_grid(u)
     if scale < 0.5:
         return u.copy()
     return ball_mean_field(u, scale, grid)

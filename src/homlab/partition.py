@@ -167,15 +167,47 @@ def locate_cell(point, beta, d=None):
 
 def lattice_partition_labels(grid, beta, center=None):
     """Label array over the torus assigning every cell its partition cell,
-    via the periodic offset to ``center`` (default origin)."""
+    via the periodic offset to ``center`` (default origin).
+
+    ``locate_cell`` for all offsets at once: the triadic level, shift and
+    corner of every offset, one subdivision count per distinct triadic cube,
+    then the sub-cell index.  Labels number the partition cells in the
+    row-major order of their first lattice cell.  The central cube is the
+    level-0 cube with shift 0 (shell cubes have a nonzero shift).
+    """
     d, n = grid.d, grid.n
     center = center or (0.0,) * d
-    key_to_label = {}
-    labels = np.empty(grid.shape, dtype=np.int64)
-    for idx in np.ndindex(*grid.shape):
-        off = tuple(((idx[j] - center[j] + n / 2) % n) - n / 2
-                    for j in range(d))
-        corner, side = locate_cell(np.array(off), beta, d)
-        key = (round(side * 2**24),) + tuple(round(c * 2**24) for c in corner)
-        labels[idx] = key_to_label.setdefault(key, len(key_to_label))
-    return labels
+    axes = [(np.arange(n, dtype=np.float64) - center[j] + n / 2) % n - n / 2
+            for j in range(d)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    m = np.max(np.abs(pts), axis=1)
+    # level k: the point lies in the shell 3^k([-3/2,3/2) \ [-1/2,1/2))
+    levels = 1
+    while 0.5 * 3.0**levels <= m.max():
+        levels += 1
+    level = np.searchsorted([0.5 * 3.0 ** (k + 1) for k in range(levels)],
+                            m, side="right")
+    side = np.array([3.0**k for k in range(levels)])[level]
+    shift = np.floor(pts / side[:, None] + 0.5)
+    corner = side[:, None] * (shift - 0.5)
+    first, cube = _distinct_rows(np.column_stack([level, shift]))
+    n_sub = np.array([_subdivision_count(side[p], corner[p], beta, d)
+                      for p in first])[cube]
+    sub = side / n_sub
+    idx = np.minimum(np.floor((pts - corner) / sub[:, None]),
+                     (n_sub - 1)[:, None])
+    first, cell = _distinct_rows(np.column_stack([level, shift, idx]))
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[cell].reshape(grid.shape)
+
+
+def _distinct_rows(rows):
+    """(index of the first occurrence of each distinct row, row -> distinct
+    row id) for a 2D array of integer values."""
+    rows = rows.astype(np.int64)
+    rows -= rows.min(axis=0)
+    flat = np.ravel_multi_index(tuple(rows.T), tuple(rows.max(axis=0) + 1))
+    _, first, inverse = np.unique(flat, return_index=True,
+                                  return_inverse=True)
+    return first, inverse.reshape(-1)

@@ -4,16 +4,18 @@ finite-difference validation of the adjoint formula.
 
 The adjoint is derived for the discrete operators themselves, so the
 finite-difference check is limited only by the O(t) linearization bias and
-the solver tolerance.
+the solver tolerance.  ``malliavin_derivative`` evaluates F(a) from the same
+corrector solve it needs for dF/da and stores it on the derivative, so
+``fd_check`` solves only the perturbed corrector.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import compute_corrector, compute_flux_and_ahom, compute_sigma
+from .corrector import compute_corrector, sigma_component
 from .elliptic import SolveOptions, solve_divform_rhs
-from .lattice import GridSpec, bgrad, div, grad, poisson_solve
+from .lattice import bgrad, div, grad, poisson_solve
 from .randomfield import CoefficientField
 
 __all__ = [
@@ -49,45 +51,43 @@ class FunctionalSpec:
 
 @dataclass
 class DerivativeField:
-    """d x d matrix field dF/da (continuum normalization, h = 1) plus the
-    adjoint solutions used to assemble it."""
+    """d x d matrix field dF/da (continuum normalization, h = 1), the
+    adjoint solutions used to assemble it, the value F(a) and the solver
+    options both were computed with."""
 
     deriv: np.ndarray            # (d, d) + grid
     adjoints: dict
+    value: float
+    opts: SolveOptions
 
 
-def _corrector_gradient(a: CoefficientField, i, opts):
+def _corrector(a: CoefficientField, i, opts):
+    """phi_i, the one corrector a functional of direction i needs."""
     phi, _ = compute_corrector(a, opts, directions=[i])
-    w = grad(phi[i])
-    w[i] += 1.0
-    return phi, w
+    return phi[i]
+
+
+def _value(a: CoefficientField, spec: FunctionalSpec, phi):
+    """F(a) from the corrector phi = phi_i of the functional's direction;
+    for kind "sigma" only the requested sigma_ijk is solved for."""
+    if spec.kind == "phi":
+        target = grad(phi)
+    else:
+        j, k = spec.pair
+        target = grad(sigma_component(a, phi, spec.direction, j, k))
+    return float(np.sum(target * spec.g))
 
 
 def functional_value(a: CoefficientField, spec: FunctionalSpec,
                      opts: SolveOptions = None):
-    """Evaluate F(a) from scratch (used by the finite-difference check)."""
-    i = spec.direction
-    phi, _ = compute_corrector(a, opts, directions=[i])
-    if spec.kind == "phi":
-        target = grad(phi[i])
-    else:
-        q, _ = compute_flux_and_ahom(a, _fill_phi(a, phi, opts))
-        sigma = compute_sigma(q)
-        j, k = spec.pair
-        target = grad(sigma.component(i, j, k))
-    return float(np.sum(target * spec.g))
-
-
-def _fill_phi(a, phi, opts):
-    """Complete the remaining corrector directions (sigma needs all fluxes
-    only through q_i for the chosen i, but a_hom subtraction is harmless;
-    we only ever read the requested component)."""
-    return phi
+    """Evaluate F(a) from scratch: one corrector solve (the finite-difference
+    check uses it for the perturbed field)."""
+    return _value(a, spec, _corrector(a, spec.direction, opts))
 
 
 def malliavin_derivative(a: CoefficientField, spec: FunctionalSpec,
-                         opts: SolveOptions = None, w=None):
-    """Adjoint-solve representation of dF/da.
+                         opts: SolveOptions = None):
+    """Adjoint-solve representation of dF/da, with F(a) itself.
 
     phi-functional:  solve -div(a^T grad vt) = div g;
                      dF/da = grad vt  (x)  (grad phi_i + e_i).
@@ -95,12 +95,14 @@ def malliavin_derivative(a: CoefficientField, spec: FunctionalSpec,
                      -div(a^T grad vh) = div(a^T m) with
                      m = (d_j vb) e_k - (d_k vb) e_j (backward differences);
                      dF/da = (m + grad vh)  (x)  (grad phi_i + e_i).
+    F(a) is evaluated from the same phi_i and stored as ``value``.
     """
     opts = opts or SolveOptions()
     grid = a.grid
     i = spec.direction
-    if w is None:
-        _, w = _corrector_gradient(a, i, opts)
+    phi = _corrector(a, i, opts)
+    w = grad(phi)
+    w[i] += 1.0
     at = a.transpose()
     adjoints = {}
     if spec.kind == "phi":
@@ -121,7 +123,7 @@ def malliavin_derivative(a: CoefficientField, spec: FunctionalSpec,
     if not rep.converged:
         raise RuntimeError(f"adjoint solve failed: {rep}")
     deriv = np.einsum("p...,q...->pq...", left, w)
-    return DerivativeField(deriv, adjoints)
+    return DerivativeField(deriv, adjoints, _value(a, spec, phi), opts)
 
 
 def carre_du_champ(deriv: DerivativeField, labels):
@@ -144,6 +146,12 @@ def fd_check(a: CoefficientField, spec: FunctionalSpec, cell, delta_a,
     """Perturb a by t * delta_a on one cell, recompute F exactly, and
     compare the difference quotient with the adjoint prediction.
 
+    The unperturbed F(a) is ``deriv.value``, so only the perturbed corrector
+    is solved here; without ``deriv`` the derivative is computed first.  A
+    ``deriv`` computed with options other than ``opts`` raises ValueError,
+    since both values of the difference quotient must come from solves at
+    the same tolerance.
+
     Returns (relative_error, fd_value, adjoint_value).
     """
     opts = opts or SolveOptions(tol=1e-12)
@@ -151,13 +159,15 @@ def fd_check(a: CoefficientField, spec: FunctionalSpec, cell, delta_a,
         t = 1e-4 * a.lam_eff
     if deriv is None:
         deriv = malliavin_derivative(a, spec, opts)
+    elif deriv.opts != opts:
+        raise ValueError(f"derivative solved with {deriv.opts}, "
+                         f"fd_check asked for {opts}")
     delta_a = np.asarray(delta_a, dtype=np.float64)
     adj = float(np.sum(deriv.deriv[(Ellipsis,) + tuple(cell)] * delta_a))
     a2 = a.a.copy()
     a2[(Ellipsis,) + tuple(cell)] += t * delta_a
     pert = CoefficientField(a2, a.lam_eff, a.grid)
-    f0 = functional_value(a, spec, opts)
     f1 = functional_value(pert, spec, opts)
-    fd = (f1 - f0) / t
+    fd = (f1 - deriv.value) / t
     denom = max(abs(adj), 1e-300)
     return abs(fd - adj) / denom, fd, adj

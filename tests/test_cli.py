@@ -52,6 +52,15 @@ class TestExitCodes:
         assert manifest["status"] == "failed"
         assert "bogus" in manifest["error"]
 
+    def test_growth_radius_is_config_error(self, tmp_path):
+        cfg = _write(tmp_path, "grid = 64\nradii = 16\nrealizations = 2\n")
+        out = tmp_path / "out"
+        code = main(["--config", cfg, "--out", str(out),
+                     "experiment", "growth"])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "L/8" in manifest["error"]
+
     def test_ok_manifest(self, tmp_path):
         cfg = _write(tmp_path, "grid = 16\nrealizations = 2\n")
         out = tmp_path / "out"
@@ -112,7 +121,20 @@ class TestCommands:
         assert code == 0
         payload = json.loads((out / "partition.json").read_text())
         assert payload["C_meas"] >= 1.0
-        assert (out / "cells.csv").exists()
+        header = (out / "cells.csv").read_text().splitlines()[0]
+        assert header == "corner0,corner1,side,diam,dist,n_sub"
+
+    def test_sensitivity_check(self, tmp_path):
+        cfg = _write(tmp_path, "grid = 32\nskew = 0.1\ntol = 1e-12\n")
+        out = tmp_path / "out"
+        code = main(["--config", cfg, "--out", str(out),
+                     "sensitivity-check"])
+        assert code == 0
+        checks = json.loads((out / "sensitivity.json").read_text())["checks"]
+        assert sorted(checks) == ["phi_skew", "phi_sym", "sigma_skew",
+                                  "sigma_sym"]
+        for check in checks.values():
+            assert check["relative_error"] < 1e-3
 
     def test_diagnose(self, tmp_path):
         cfg = _write(tmp_path, "grid = 32\nradii = 2, 4\n")

@@ -5,7 +5,7 @@ from homlab.corrector import (SkewField, build_corrector_set, compute_F_RT,
                               compute_corrector, compute_flux_and_ahom,
                               compute_modified, compute_sigma,
                               extended_components, load_corrector_set,
-                              save_corrector_set)
+                              save_corrector_set, sigma_component)
 from homlab.elliptic import SolveOptions
 from homlab.lattice import GridSpec, div, grad
 from homlab.randomfield import (CoefficientField, CoefficientModel,
@@ -61,6 +61,17 @@ class TestCorrector:
 
 
 class TestFluxAndAhom:
+    def test_corrector_set_columns_match_single_solves(self):
+        # each a_hom column comes from its own corrector solve only
+        grid = GridSpec(2, 64)
+        a = _random_field(9, grid=grid)
+        corr = build_corrector_set(a, OPTS)
+        for i in range(2):
+            phi, _ = compute_corrector(a, OPTS, directions=[i])
+            _, tensor = compute_flux_and_ahom(a, phi)
+            assert np.allclose(corr.a_hom[:, i], tensor.matrix[:, i],
+                               rtol=1e-12, atol=0.0)
+
     def test_constant_tensor(self):
         mat = np.array([[0.8, 0.1], [-0.1, 0.6]])
         a = constant_coefficients(GRID, mat)
@@ -101,6 +112,13 @@ class TestSigma:
         s = corr.sigma
         assert np.array_equal(s.component(0, 0, 1), -s.component(0, 1, 0))
         assert np.all(s.component(0, 1, 1) == 0.0)
+
+    def test_single_component_matches_full_sigma(self):
+        a = _random_field(10, nu=0.1)
+        corr = build_corrector_set(a, OPTS)
+        for i in range(2):
+            assert np.array_equal(sigma_component(a, corr.phi[i], i, 0, 1),
+                                  corr.sigma.component(i, 0, 1))
 
     def test_zero_mean(self):
         a = _random_field(4)

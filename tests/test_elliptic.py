@@ -89,6 +89,21 @@ class TestDivform:
         assert rep.converged
         assert abs(u.mean()) < 1e-12
 
+    def test_nonsymmetric_counts_iterations(self):
+        a = _random_field(4, nu=0.2)
+        g = np.random.default_rng(4).standard_normal((2,) + GRID.shape)
+        opts = SolveOptions(tol=1e-10, max_iter=500)
+        _, rep = solve_divform(a, g, 0.0, opts)
+        assert rep.converged
+        assert 0 < rep.iterations < opts.max_iter
+
+    def test_nonsymmetric_iteration_cap_reported(self):
+        a = _random_field(4, nu=0.2)
+        g = np.random.default_rng(4).standard_normal((2,) + GRID.shape)
+        _, rep = solve_divform(a, g, 0.0, SolveOptions(tol=1e-10, max_iter=2))
+        assert not rep.converged
+        assert rep.iterations == 2
+
     def test_report_residual_honest(self):
         a = _random_field(5)
         g = np.random.default_rng(5).standard_normal((2,) + GRID.shape)
@@ -132,3 +147,13 @@ class TestDirichletBall:
         mask = ball_mask(GRID, ball)
         res = divform_apply(a.a, u, 0.0)[mask]
         assert np.linalg.norm(res) < 1e-7
+
+    def test_nonsymmetric_counts_iterations(self):
+        a = _random_field(8, nu=0.2)
+        assert not a.is_symmetric()
+        ball = Ball((1.0, 4.0), 7.0)
+        boundary = np.random.default_rng(8).standard_normal(GRID.shape)
+        opts = SolveOptions(tol=1e-10, max_iter=500)
+        _, rep = solve_dirichlet_ball(a, ball, boundary, opts)
+        assert rep.converged
+        assert 0 < rep.iterations < opts.max_iter

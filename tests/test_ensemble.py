@@ -15,6 +15,13 @@ class TestPlan:
         with pytest.raises(ValueError):
             ExperimentPlan(kind="scaling", n=32, radii=(16.0,))
 
+    def test_growth_radii_capped_at_eighth(self):
+        # growth_profile needs R <= L/8; L/4 stays valid for other kinds
+        with pytest.raises(ValueError):
+            ExperimentPlan(kind="growth", n=64, radii=(16,))
+        ExperimentPlan(kind="growth", n=64, radii=(8,))
+        ExperimentPlan(kind="scaling", n=64, radii=(16,))
+
     def test_sampling_deterministic(self):
         plan = ExperimentPlan(kind="scaling", n=16, m=2, master_seed=3)
         a1 = sample_coefficients(plan, 0)

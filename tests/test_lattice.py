@@ -99,6 +99,28 @@ class TestBalls:
         assert out.shape == (2,)
         assert np.isclose(out[1], ball_average(u[1], b, g))
 
+    def test_average_dimension_from_ball(self):
+        # a 2D field with one leading axis, no grid: d comes from the ball
+        u = np.zeros((2, 64, 64))
+        u[1] = 1.0
+        out = ball_average(u, Ball((0, 0), 4))
+        assert np.array_equal(out, [0.0, 1.0])
+
+    def test_average_rejects_off_grid_shape(self):
+        with pytest.raises(ValueError):
+            ball_average(np.zeros((2, 64, 32)), Ball((0, 0), 4))
+
+    def test_mollify_resolves_trailing_grid_axes(self):
+        g = GridSpec(2, 16)
+        u = _rng(8).standard_normal((3,) + g.shape)
+        assert np.array_equal(box_mollify(u, 2.0), box_mollify(u, 2.0, g))
+
+    @pytest.mark.parametrize("shape", [(64,), (2, 16), (8, 16),
+                                       (16, 16, 16, 16)])
+    def test_mollify_unresolvable_shape(self, shape):
+        with pytest.raises(ValueError):
+            box_mollify(np.zeros(shape), 2.0)
+
     def test_mean_field_matches_center_average(self):
         g = GridSpec(2, 32)
         u = _rng(6).standard_normal(g.shape)

@@ -7,6 +7,22 @@ from homlab.partition import (build_partition, check_refinement,
                               locate_cell)
 
 
+def _labels_reference(grid, beta, center=None):
+    """One ``locate_cell`` call per lattice cell, labels in first-seen
+    row-major order: the reference for the vectorized labels."""
+    d, n = grid.d, grid.n
+    center = center or (0.0,) * d
+    key_to_label = {}
+    labels = np.empty(grid.shape, dtype=np.int64)
+    for idx in np.ndindex(*grid.shape):
+        off = tuple(((idx[j] - center[j] + n / 2) % n) - n / 2
+                    for j in range(d))
+        corner, side = locate_cell(np.array(off), beta, d)
+        key = (round(side * 2**24),) + tuple(round(c * 2**24) for c in corner)
+        labels[idx] = key_to_label.setdefault(key, len(key_to_label))
+    return labels
+
+
 class TestConstruction:
     def test_smallest_region(self):
         # at beta = 0 the central unit cube (diam sqrt(2) > 1) is split
@@ -120,3 +136,18 @@ class TestLocate:
         labels = lattice_partition_labels(grid, 0.3)
         assert labels.min() == 0
         assert labels.max() + 1 == len(np.unique(labels))
+
+    @pytest.mark.parametrize("d,n,beta", [(2, 64, 0.0), (2, 64, 0.3),
+                                          (2, 54, 0.0), (2, 54, 0.3),
+                                          (3, 16, 0.3)])
+    def test_labels_match_reference(self, d, n, beta):
+        grid = GridSpec(d, n)
+        assert np.array_equal(lattice_partition_labels(grid, beta),
+                              _labels_reference(grid, beta))
+
+    def test_labels_match_reference_off_center(self):
+        grid = GridSpec(2, 32)
+        for center in ((0.5, 0.5), (3.25, -1.5)):
+            assert np.array_equal(
+                lattice_partition_labels(grid, 0.6, center),
+                _labels_reference(grid, 0.6, center))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from homlab.corrector import build_corrector_set
 from homlab.elliptic import SolveOptions
-from homlab.lattice import GridSpec
+from homlab.lattice import GridSpec, grad
 from homlab.partition import lattice_partition_labels
-from homlab.randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
-                                sample_gaussian, to_coefficients)
+from homlab.randomfield import (CoefficientField, CoefficientModel,
+                                CovarianceSpec, SeedSpec, sample_gaussian,
+                                to_coefficients)
 from homlab.sensitivity import (FunctionalSpec, carre_du_champ, fd_check,
                                 functional_value, malliavin_derivative)
 
@@ -73,6 +75,77 @@ class TestAdjoint:
         phi, _ = compute_corrector(a, OPTS, directions=[0])
         want = float(np.sum(grad(phi[0]) * g))
         assert np.isclose(functional_value(a, spec, OPTS), want)
+
+
+class TestValueReuse:
+    SKEW = np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2.0)
+
+    @pytest.mark.parametrize("kind", ["phi", "sigma"])
+    def test_value_is_functional_value(self, kind):
+        a = _field(7)
+        spec = FunctionalSpec(kind, _weight(8))
+        deriv = malliavin_derivative(a, spec, OPTS)
+        assert deriv.value == functional_value(a, spec, OPTS)
+        assert deriv.opts == OPTS
+
+    def test_sigma_value_matches_full_corrector_set(self):
+        a = _field(9)
+        g = _weight(9)
+        spec = FunctionalSpec("sigma", g, direction=1)
+        corr = build_corrector_set(a, OPTS)
+        want = float(np.sum(grad(corr.sigma.component(1, 0, 1)) * g))
+        assert np.isclose(functional_value(a, spec, OPTS), want,
+                          rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["phi", "sigma"])
+    def test_fd_equals_fresh_difference_quotient(self, kind):
+        a = _field(10)
+        spec = FunctionalSpec(kind, _weight(10))
+        cell, t = (4, 11), 1e-5
+        deriv = malliavin_derivative(a, spec, OPTS)
+        for da in (np.eye(2), self.SKEW):
+            err, fd, adj = fd_check(a, spec, cell, da, t, OPTS, deriv)
+            a2 = a.a.copy()
+            a2[(Ellipsis,) + cell] += t * da
+            pert = CoefficientField(a2, a.lam_eff, a.grid)
+            want = (functional_value(pert, spec, OPTS)
+                    - functional_value(a, spec, OPTS)) / t
+            want_adj = float(np.sum(deriv.deriv[(Ellipsis,) + cell] * da))
+            assert (fd, adj) == (want, want_adj)
+            assert err == abs(want - want_adj) / abs(want_adj)
+            assert (err, fd, adj) == fd_check(a, spec, cell, da, t, OPTS)
+
+    @pytest.mark.parametrize("kind", ["phi", "sigma"])
+    def test_one_corrector_solve_with_derivative(self, kind, monkeypatch):
+        import homlab.corrector
+        import homlab.sensitivity
+        a = _field(11)
+        spec = FunctionalSpec(kind, _weight(11))
+        deriv = malliavin_derivative(a, spec, OPTS)
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(homlab.corrector, "solve_divform",
+                            counting("corrector", homlab.corrector.solve_divform))
+        monkeypatch.setattr(homlab.sensitivity, "solve_divform_rhs",
+                            counting("adjoint",
+                                     homlab.sensitivity.solve_divform_rhs))
+        fd_check(a, spec, (2, 6), np.eye(2), 1e-5, OPTS, deriv)
+        assert calls == ["corrector"]
+
+    def test_derivative_options_must_match(self):
+        a = _field(12)
+        spec = FunctionalSpec("phi", _weight(12))
+        loose = malliavin_derivative(a, spec, SolveOptions(tol=1e-8))
+        with pytest.raises(ValueError):
+            fd_check(a, spec, (1, 1), np.eye(2), 1e-5, OPTS, loose)
+        with pytest.raises(ValueError):
+            fd_check(a, spec, (1, 1), np.eye(2), 1e-5, None, loose)
 
 
 class TestCarreDuChamp:
