@@ -76,7 +76,11 @@ def parse_config(path):
     cfg = dict(_DEFAULTS)
     if path is None:
         return cfg
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -100,8 +104,18 @@ def parse_config(path):
     return cfg
 
 
+def _configured(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError it raises reported as the
+    configuration error it is."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _plan_from_config(cfg, kind):
-    return ExperimentPlan(
+    return _configured(
+        ExperimentPlan,
         kind=kind,
         d=cfg["dimension"],
         n=cfg["grid"],
@@ -198,7 +212,7 @@ def cmd_experiment(cfg, outdir, kind):
 def cmd_partition_check(cfg, outdir):
     d = cfg["dimension"]
     beta = cfg["beta"] if cfg["beta"] >= 0 else beta_effective(cfg["gamma"], d)
-    part = build_partition(cfg["region"], beta, d)
+    part = _configured(build_partition, cfg["region"], beta, d)
     c_meas = check_refinement(part)
     gamma = max(cfg["gamma"], d * (1.0 - beta) + 0.5)
     inter = interaction_sum(part, gamma)
@@ -218,6 +232,9 @@ def cmd_partition_check(cfg, outdir):
 
 
 def cmd_sensitivity_check(cfg, outdir):
+    t = cfg["fd_step"]
+    if not t > 0:
+        raise ConfigError(f"fd_step must be positive, got {t}")
     plan = _plan_from_config(cfg, "scaling")
     a = sample_coefficients(plan, 0)
     grid = plan.grid()
@@ -228,7 +245,6 @@ def cmd_sensitivity_check(cfg, outdir):
     g[0][mask] = 1.0
     g /= np.sqrt(np.mean(np.sum(g**2, axis=0)))
     cell = tuple(int(v) for v in rng.integers(0, grid.n, grid.d))
-    t = cfg["fd_step"]
     results = {}
     for kind in ("phi", "sigma"):
         spec = FunctionalSpec(kind, g)
@@ -305,13 +321,13 @@ def main(argv=None):
             result = cmd_sensitivity_check(cfg, args.out)
         manifest["status"] = "ok"
         manifest["result_keys"] = sorted(result)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         manifest["error"] = str(exc)
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
         manifest["error"] = str(exc)
-        print(f"solver error: {exc}", file=sys.stderr)
+        print(f"runtime error: {exc}", file=sys.stderr)
         code = EXIT_SOLVER
     finally:
         manifest["wall_time_s"] = time.perf_counter() - t0

@@ -1,16 +1,18 @@
 """Iterative solvers for the heterogeneous divergence-form operator on the
 torus (with optional massive term) and Dirichlet problems on discrete balls.
 
-Symmetric coefficients get preconditioned conjugate gradients with a
-constant-coefficient spectral preconditioner; non-symmetric coefficients go
-through BiCGStab with the same preconditioner.  Reported residuals are
-always recomputed from scratch; reported iterations are the Krylov steps
-completed, for BiCGStab too.
+Symmetric coefficients get preconditioned conjugate gradients, non-symmetric
+ones BiCGStab.  The preconditioner inverts ``c0 (-lap)``, c0 the mean
+diagonal: by FFT on the torus, by DST-I on the cropped box where a
+Dirichlet-ball problem is solved.  Residuals are always recomputed from
+scratch on the torus; iterations are the Krylov steps completed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dstn, idstn, next_fast_len
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from . import kernels
@@ -37,6 +39,8 @@ class SolveOptions:
             raise ValueError("tol must lie in (0, 1e-3]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.preconditioner not in ("spectral", "none"):
+            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass
@@ -46,15 +50,16 @@ class SolveReport:
     converged: bool
 
 
-class SolverError(RuntimeError):
-    pass
+def _mean_diagonal(field: CoefficientField):
+    """c0 of the constant-coefficient preconditioners."""
+    return float(np.mean([field.a[i, i].mean() for i in range(field.grid.d)]))
 
 
 def _spectral_inverse(field: CoefficientField, inv_t):
     """Inverse of inv_t + c0 (-lap) via FFT, c0 the mean diagonal."""
     grid = field.grid
     d = grid.d
-    c0 = float(np.mean([field.a[i, i].mean() for i in range(d)]))
+    c0 = _mean_diagonal(field)
     sym = inv_t + c0 * laplacian_symbol(grid.shape, rfft=True)
     zero = (0,) * d
     if inv_t == 0.0:
@@ -132,11 +137,8 @@ def solve_divform_rhs(field: CoefficientField, rhs, inv_t=0.0,
     def matvec(u):
         return kernels.divform_apply(a, u, inv_t)
 
-    if opts.preconditioner == "spectral":
-        precond = _spectral_inverse(field, inv_t)
-    else:
-        precond = lambda r: r  # noqa: E731
-
+    precond = (_spectral_inverse(field, inv_t)
+               if opts.preconditioner == "spectral" else lambda r: r)
     solver = _pcg if field.is_symmetric() else _bicgstab
     u, it = solver(matvec, rhs, precond, 0.1 * opts.tol, opts.max_iter)
     if inv_t == 0.0:
@@ -151,46 +153,62 @@ def solve_divform(field: CoefficientField, g, inv_t=0.0,
     return solve_divform_rhs(field, div(np.asarray(g)), inv_t, opts)
 
 
-def _diag_precond(field: CoefficientField, mask):
-    a = field.a
-    d = a.shape[0]
-    diag = np.zeros(field.grid.shape)
-    for i in range(d):
-        diag += a[i, i] + np.roll(a[i, i], 1, axis=i)
-    diag[~mask] = 1.0
+def _dirichlet_inverse(c0, mask):
+    """Inverse of c0 (-lap) on the box ``mask.shape`` with zero data on the
+    cells just outside it, via DST-I, restricted to ``mask``.  The DST-I
+    symbol of a side m is the torus symbol of period 2(m+1) at k = 1..m."""
+    sym = c0 * laplacian_symbol(tuple(2 * (m + 1) for m in mask.shape))[
+        tuple(slice(1, m + 1) for m in mask.shape)]
 
     def apply(r):
-        return r / diag
+        return np.where(mask, idstn(dstn(r, type=1) / sym, type=1), 0.0)
 
     return apply
+
+
+def _ball_box(grid: GridSpec, ball: Ball):
+    """Wrapped ``np.ix_`` index of a box holding the ball and one free cell
+    on each side, so that each ball row's stencil (x +- e_j, x - e_i + e_j)
+    stays inside it and the box's own wrap reaches only rows outside the
+    ball.  Each side m is rounded up to a fast DST-I (FFT length 2(m+1))."""
+    axes = []
+    for c in ball.center:
+        lo = math.floor(c - ball.radius) - 1
+        m = math.ceil(c + ball.radius) + 2 - lo
+        # R <= L/4 keeps m <= n/2 + 4 <= n before rounding, so the cap at n
+        # never cuts into the free cells
+        m = min(next_fast_len(m + 1, real=True) - 1, grid.n)
+        axes.append((lo + np.arange(m)) % grid.n)
+    return np.ix_(*axes)
 
 
 def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
                          opts: SolveOptions = None):
     """a-harmonic extension into the discrete ball: u = boundary outside,
-    div(a grad u) = 0 at every interior cell to tolerance."""
+    div(a grad u) = 0 at every interior cell to tolerance; the Krylov
+    solve runs on ``_ball_box``."""
     opts = opts or SolveOptions()
-    grid = field.grid
-    mask = ball_mask(grid, ball)
-    a = np.ascontiguousarray(field.a)
+    mask = ball_mask(field.grid, ball)
     boundary = np.asarray(boundary, dtype=np.float64)
-
-    def op_full(u):
-        return kernels.divform_apply(a, u, 0.0)
+    box = _ball_box(field.grid, ball)
+    a = field.a[(slice(None), slice(None)) + box]
+    inside = mask[box]
 
     def matvec(u_masked):
-        u = np.where(mask, u_masked, 0.0)
-        out = op_full(u)
-        return np.where(mask, out, 0.0)
+        out = kernels.divform_apply(a, np.where(inside, u_masked, 0.0), 0.0)
+        return np.where(inside, out, 0.0)
 
-    bc = np.where(mask, 0.0, boundary)
-    rhs = np.where(mask, -op_full(bc), 0.0)
-    precond = _diag_precond(field, mask)
+    bc = np.where(inside, 0.0, boundary[box])
+    rhs = np.where(inside, -kernels.divform_apply(a, bc, 0.0), 0.0)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return boundary.copy(), SolveReport(0, 0.0, True)
+    precond = (_dirichlet_inverse(_mean_diagonal(field), inside)
+               if opts.preconditioner == "spectral" else lambda r: r)
     solver = _pcg if field.is_symmetric() else _bicgstab
     u_in, it = solver(matvec, rhs, precond, 0.1 * opts.tol, opts.max_iter)
-    u = np.where(mask, u_in, boundary)
-    res = float(np.linalg.norm(np.where(mask, op_full(u), 0.0))) / bnorm
+    u = boundary.copy()
+    u[box] = np.where(inside, u_in, boundary[box])
+    full = kernels.divform_apply(np.ascontiguousarray(field.a), u, 0.0)
+    res = float(np.linalg.norm(np.where(mask, full, 0.0))) / bnorm
     return u, SolveReport(it, res, res <= opts.tol)

@@ -59,8 +59,17 @@ class ExperimentPlan:
         grid = GridSpec(self.d, self.n)
         frac = 8 if self.kind == "growth" else 4
         for r in self.radii:
-            if r > grid.n / frac:
-                raise ValueError(f"{self.kind} radius {r} exceeds L/{frac}")
+            if not 0.5 <= r <= grid.n / frac:
+                raise ValueError(f"{self.kind} radius {r} outside "
+                                 f"[0.5, L/{frac}]")
+        for n in self.grids:
+            GridSpec(self.d, n)
+        if not (self.delta > 0 and all(x > 0 for x in self.deltas)):
+            raise ValueError("minimal-radius thresholds must be positive")
+        self.opts()  # SolveOptions checks tol and max_iter
+        if not self.constant_model:
+            CoefficientModel(self.lam, self.nu)
+            CovarianceSpec(self.gamma, self.beta_eff).validate(self.d)
 
     @property
     def beta_eff(self):
@@ -188,8 +197,10 @@ def _run_excess(plan, index):
     if len(r_list) < 2:
         r_list = [r for r in dyadic_radii(grid) if r >= 2.0][-2:]
     rng = _aux_rng(plan, index)
-    rows, slope, _ = excess_decay_experiment(a, corr, big_r, r_list, rng,
-                                             plan.opts())
+    rows, slope, solve = excess_decay_experiment(a, corr, big_r, r_list, rng,
+                                                 plan.opts())
+    if not solve.converged:
+        raise RuntimeError(f"Dirichlet-ball solve failed: {solve}")
     vals = {"rstar": r_star, "exponent": slope}
     for row in rows:
         vals[f"exc_r{row.radius:g}"] = row.excess
@@ -252,15 +263,18 @@ def _constant_coefficient_solve(a_hom, f):
 
 def run_ensemble(plan: ExperimentPlan, progress=None):
     """One record per realization with deterministic per-index seeds;
-    identical plans give bit-identical records.  Individual failures are
-    recorded; the run fails if more than 10% of realizations fail."""
+    identical plans give bit-identical records.  Solver and numeric
+    failures of a realization (RuntimeError, ValueError including
+    LinAlgError, ArithmeticError) are recorded, and the run fails if more
+    than 10% of realizations fail; any other exception is a programming
+    error and propagates."""
     runner = _RUNNERS[plan.kind]
     records = []
     for index in range(plan.m):
         try:
             values = runner(plan, index)
             records.append(ExperimentRecord(index, values))
-        except Exception as exc:  # noqa: BLE001 - per-realization isolation
+        except (RuntimeError, ValueError, ArithmeticError) as exc:
             records.append(ExperimentRecord(index, {}, True, str(exc)))
         if progress is not None:
             progress(index + 1, plan.m)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from homlab import cli
 from homlab.cli import main, parse_config
 
 
@@ -60,6 +61,44 @@ class TestExitCodes:
         assert code == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert "L/8" in manifest["error"]
+
+    @pytest.mark.parametrize("text, command", [
+        ("grid = 32\nradii = 9\nrealizations = 2\n", ["experiment", "excess"]),
+        ("grid = 32\nradii = 0.25\n", ["sample"]),
+        ("grid = 31\n", ["corrector"]),
+        ("lambda = 1.5\n", ["sample"]),
+        ("tol = 0.5\n", ["diagnose"]),
+        ("delta = 0\n", ["diagnose"]),
+        ("region = 5\n", ["partition-check"]),
+        ("fd_step = 0\n", ["sensitivity-check"]),
+    ])
+    def test_bad_values_are_config_errors(self, tmp_path, text, command):
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)] + command) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"]
+
+    def test_missing_config_file(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["--config", str(tmp_path / "absent.cfg"), "--out",
+                     str(out), "sample"])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "absent.cfg" in manifest["error"]
+
+    def test_numeric_error_is_runtime_failure(self, tmp_path, monkeypatch):
+        def summarize(plan, records):
+            raise ValueError("power-law fit needs positive data")
+
+        monkeypatch.setattr(cli, "summarize", summarize)
+        cfg = _write(tmp_path, "grid = 16\nrealizations = 2\nradii = 2, 4\n")
+        out = tmp_path / "out"
+        code = main(["--config", cfg, "--out", str(out),
+                     "experiment", "scaling"])
+        assert code == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == "power-law fit needs positive data"
 
     def test_ok_manifest(self, tmp_path):
         cfg = _write(tmp_path, "grid = 16\nrealizations = 2\n")

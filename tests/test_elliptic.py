@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
-from homlab.elliptic import (SolveOptions, solve_dirichlet_ball,
+from homlab.elliptic import (SolveOptions, _ball_box, solve_dirichlet_ball,
                              solve_divform, solve_divform_rhs)
 from homlab.lattice import Ball, GridSpec, ball_mask, div, grad, poisson_solve
 from homlab.randomfield import (CoefficientField, CoefficientModel,
@@ -13,11 +15,37 @@ GRID = GridSpec(2, 32)
 OPTS = SolveOptions(tol=1e-11)
 
 
-def _random_field(seed=0, nu=0.0):
-    spec = CovarianceSpec(2.5, 0.0)
-    g1 = sample_gaussian(spec, GRID, SeedSpec(seed, 0))
-    g2 = sample_gaussian(spec, GRID, SeedSpec(seed, 0, salt=1)) if nu else None
-    return to_coefficients(g1, CoefficientModel(0.25, nu), g2, GRID)
+def _random_field(seed=0, nu=0.0, grid=GRID):
+    spec = CovarianceSpec(grid.d + 0.5, 0.0)
+    g1 = sample_gaussian(spec, grid, SeedSpec(seed, 0))
+    g2 = sample_gaussian(spec, grid, SeedSpec(seed, 0, salt=1)) if nu else None
+    return to_coefficients(g1, CoefficientModel(0.25, nu), g2, grid)
+
+
+def _assembled_operator(a):
+    """-div(a grad .) on the torus as a CSR matrix, from the stencil
+
+        (Au)(x) = -sum_ij [a_ij(x) (u(x+e_j) - u(x))
+                           - a_ij(x-e_i) (u(x-e_i+e_j) - u(x-e_i))]
+
+    with cells numbered row-major."""
+    d, shape = a.shape[0], a.shape[2:]
+    x = np.indices(shape).reshape(d, -1)
+    e = np.eye(d, dtype=int)[:, :, None]
+    rows, cols, vals = [], [], []
+    for i in range(d):
+        for j in range(d):
+            here = a[i, j].reshape(-1)
+            back = a[i, j][tuple((x - e[i]) % np.array(shape)[:, None])]
+            for col, val in ((x + e[j], -here), (x, here),
+                             (x - e[i] + e[j], back), (x - e[i], -back)):
+                rows.append(np.ravel_multi_index(x, shape))
+                cols.append(np.ravel_multi_index(col, shape, mode="wrap"))
+                vals.append(val)
+    n = x.shape[1]
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(n, n))
 
 
 def _laminate(vals, n=32):
@@ -37,6 +65,13 @@ class TestOptions:
             SolveOptions(tol=1e-2)
         with pytest.raises(ValueError):
             SolveOptions(max_iter=0)
+
+    def test_preconditioner_names(self):
+        SolveOptions(preconditioner="spectral")
+        SolveOptions(preconditioner="none")
+        for bad in ("jacobi", "Spectral", ""):
+            with pytest.raises(ValueError, match="preconditioner"):
+                SolveOptions(preconditioner=bad)
 
 
 class TestDivform:
@@ -114,6 +149,16 @@ class TestDivform:
         res = np.linalg.norm(divform_apply(a.a, u, 0.0) - rhs)
         assert np.isclose(rep.residual, res / np.linalg.norm(rhs))
 
+    def test_torus_preconditioners_agree(self):
+        a = _random_field(10)
+        g = np.random.default_rng(10).standard_normal((2,) + GRID.shape)
+        u0, rep0 = solve_divform(a, g, 0.0, OPTS)
+        u1, rep1 = solve_divform(a, g, 0.0, SolveOptions(
+            tol=1e-11, preconditioner="none"))
+        assert rep0.converged and rep1.converged
+        assert rep0.iterations < rep1.iterations
+        assert np.max(np.abs(u0 - u1)) < 1e-8 * np.max(np.abs(u1))
+
 
 class TestDirichletBall:
     def test_boundary_preserved(self):
@@ -157,3 +202,64 @@ class TestDirichletBall:
         _, rep = solve_dirichlet_ball(a, ball, boundary, opts)
         assert rep.converged
         assert 0 < rep.iterations < opts.max_iter
+
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    def test_preconditioners_agree(self, nu):
+        a = _random_field(9, nu=nu)
+        ball = Ball((3.5, -2.0), 7.0)
+        boundary = np.random.default_rng(9).standard_normal(GRID.shape)
+        us, reps = [], []
+        for name in ("spectral", "none"):
+            opts = SolveOptions(tol=1e-11, preconditioner=name)
+            u, rep = solve_dirichlet_ball(a, ball, boundary, opts)
+            assert rep.converged
+            us.append(u)
+            reps.append(rep)
+        assert reps[0].iterations < reps[1].iterations
+        assert np.max(np.abs(us[0] - us[1])) < 1e-8 * np.max(np.abs(us[1]))
+
+
+class TestDirichletBallReference:
+    """solve_dirichlet_ball against a sparse direct solve of the assembled
+    operator, restricted to the ball rows and columns."""
+
+    @pytest.mark.parametrize("d, n, radius, nu, center", [
+        (2, 32, 7.0, 0.0, (0.0, 0.0)),
+        (2, 32, 7.0, 0.2, (0.0, 0.0)),
+        (2, 32, 6.5, 0.0, (11.3, -4.7)),
+        (2, 32, 8.0, 0.2, (11.3, -4.7)),
+        (2, 32, 7.0, 0.0, (30.5, 1.0)),
+        (2, 32, 8.0, 0.2, (30.5, 1.0)),
+        (3, 16, 4.0, 0.0, (0.0, 0.0, 0.0)),
+        (3, 16, 3.5, 0.2, (14.5, 1.0, 7.25)),
+        (2, 8, 2.0, 0.0, (0.0, 0.0)),
+        (2, 8, 2.0, 0.2, (7.5, 3.5)),
+        (3, 8, 2.0, 0.0, (7.5, 0.5, 4.0)),
+    ])
+    def test_matches_sparse_direct_solve(self, d, n, radius, nu, center):
+        grid = GridSpec(d, n)
+        a = _random_field(11, nu=nu, grid=grid)
+        ball = Ball(center, radius)
+        boundary = np.random.default_rng(11).standard_normal(grid.shape)
+        u, rep = solve_dirichlet_ball(a, ball, boundary, OPTS)
+        assert rep.converged
+        assert np.array_equal(u[~ball_mask(grid, ball)],
+                              boundary[~ball_mask(grid, ball)])
+        inside = ball_mask(grid, ball).reshape(-1)
+        k = _assembled_operator(a.a)
+        g = boundary.reshape(-1)
+        want = g.copy()
+        want[inside] = spsolve(k[inside][:, inside].tocsc(),
+                               -k[inside][:, ~inside] @ g[~inside])
+        assert (np.max(np.abs(u.reshape(-1) - want))
+                <= 1e-8 * np.max(np.abs(want)))
+        assert all(len(ix.reshape(-1)) <= n for ix in _ball_box(grid, ball))
+
+    def test_box_never_exceeds_the_torus(self):
+        for n in (8, 10, 12, 16, 32, 34, 64):
+            grid = GridSpec(2, n)
+            for c in (0.0, 0.5, 0.25, n - 0.5):
+                box = _ball_box(grid, Ball((c, 0.0), n / 4))
+                for axis in box:
+                    idx = axis.reshape(-1)
+                    assert len(np.unique(idx)) == len(idx) <= n

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from homlab import diagnostics, ensemble
+from homlab.elliptic import SolveReport
 from homlab.ensemble import (ExperimentPlan, bootstrap_slope, fit_linear,
                              fit_power_law, fit_tail, records_to_csv,
                              run_ensemble, sample_coefficients, summarize)
@@ -21,6 +23,18 @@ class TestPlan:
             ExperimentPlan(kind="growth", n=64, radii=(16,))
         ExperimentPlan(kind="growth", n=64, radii=(8,))
         ExperimentPlan(kind="scaling", n=64, radii=(16,))
+
+    @pytest.mark.parametrize("bad", [
+        dict(radii=(0.25,)), dict(grids=(16, 15)), dict(delta=0.0),
+        dict(deltas=(0.1, -0.1)), dict(tol=0.1), dict(max_iter=0),
+        dict(lam=1.5), dict(nu=0.5), dict(gamma=0.0), dict(gamma=1.5)])
+    def test_config_values_rejected_at_construction(self, bad):
+        # each of these used to fail only inside every realization
+        with pytest.raises(ValueError):
+            ExperimentPlan(**dict(dict(kind="scaling", n=32), **bad))
+
+    def test_constant_model_ignores_field_parameters(self):
+        ExperimentPlan(kind="scaling", n=32, gamma=1.5, constant_model=True)
 
     def test_sampling_deterministic(self):
         plan = ExperimentPlan(kind="scaling", n=16, m=2, master_seed=3)
@@ -130,3 +144,48 @@ class TestRunEnsemble:
         out = summarize(plan, run_ensemble(plan))
         assert len(out["errors"]) == 2
         assert out["errors"][1] < out["errors"][0]
+
+    def test_unconverged_ball_solve_fails_realization(self, monkeypatch):
+        def unconverged(a, ball, boundary, opts=None):
+            return boundary.copy(), SolveReport(opts.max_iter, 0.5, False)
+
+        monkeypatch.setattr(diagnostics, "solve_dirichlet_ball", unconverged)
+        plan = ExperimentPlan(kind="excess", n=32, m=2, master_seed=0,
+                              constant_model=True)
+        with pytest.raises(RuntimeError, match="Dirichlet-ball solve failed"):
+            run_ensemble(plan)
+
+    def test_excess_realization_records(self):
+        plan = ExperimentPlan(kind="excess", n=32, m=2, master_seed=0,
+                              constant_model=True)
+        recs = run_ensemble(plan)
+        assert not any(rec.failed for rec in recs)
+        assert all(np.isfinite(rec.values["exponent"]) for rec in recs)
+
+    @pytest.mark.parametrize("exc", [RuntimeError, ValueError,
+                                     np.linalg.LinAlgError,
+                                     FloatingPointError])
+    def test_numeric_failure_recorded(self, monkeypatch, exc):
+        calls = []
+
+        def runner(plan, index):
+            calls.append(index)
+            if index == 0:
+                raise exc("boom")
+            return {"x": 1.0}
+
+        monkeypatch.setitem(ensemble._RUNNERS, "scaling", runner)
+        plan = ExperimentPlan(kind="scaling", n=16, m=10)
+        recs = run_ensemble(plan)
+        assert calls == list(range(10))
+        assert recs[0].failed and recs[0].error == "boom"
+        assert not any(rec.failed for rec in recs[1:])
+
+    @pytest.mark.parametrize("exc", [TypeError, AttributeError, KeyError])
+    def test_programming_error_propagates(self, monkeypatch, exc):
+        def runner(plan, index):
+            raise exc("bug")
+
+        monkeypatch.setitem(ensemble._RUNNERS, "scaling", runner)
+        with pytest.raises(exc):
+            run_ensemble(ExperimentPlan(kind="scaling", n=16, m=10))
