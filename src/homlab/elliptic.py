@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn, idstn, next_fast_len
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from . import kernels
@@ -157,6 +156,9 @@ def _dirichlet_inverse(c0, mask):
     """Inverse of c0 (-lap) on the box ``mask.shape`` with zero data on the
     cells just outside it, via DST-I, restricted to ``mask``.  The DST-I
     symbol of a side m is the torus symbol of period 2(m+1) at k = 1..m."""
+    # scipy.fft is loaded on first use, so that runs without ball solves
+    # do not pay its ~50 ms and ~5 MB at import
+    from scipy.fft import dstn, idstn
     sym = c0 * laplacian_symbol(tuple(2 * (m + 1) for m in mask.shape))[
         tuple(slice(1, m + 1) for m in mask.shape)]
 
@@ -171,6 +173,7 @@ def _ball_box(grid: GridSpec, ball: Ball):
     on each side, so that each ball row's stencil (x +- e_j, x - e_i + e_j)
     stays inside it and the box's own wrap reaches only rows outside the
     ball.  Each side m is rounded up to a fast DST-I (FFT length 2(m+1))."""
+    from scipy.fft import next_fast_len
     axes = []
     for c in ball.center:
         lo = math.floor(c - ball.radius) - 1
