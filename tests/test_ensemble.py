@@ -29,7 +29,6 @@ class TestPlan:
         dict(deltas=(0.1, -0.1)), dict(tol=0.1), dict(max_iter=0),
         dict(lam=1.5), dict(nu=0.5), dict(gamma=0.0), dict(gamma=1.5)])
     def test_config_values_rejected_at_construction(self, bad):
-        # each of these used to fail only inside every realization
         with pytest.raises(ValueError):
             ExperimentPlan(**dict(dict(kind="scaling", n=32), **bad))
 
