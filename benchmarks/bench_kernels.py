@@ -1,5 +1,6 @@
-"""Benchmark the operator kernel (numba against numpy) and the pruned
-partition interaction sup against its brute-force reference.
+"""Benchmark the operator kernel (numba against numpy), the pruned
+partition interaction sup against its brute-force reference, and the
+Parseval growth profile against the real-space ball-mean loop.
 
 Run:  python3 benchmarks/bench_kernels.py
 """
@@ -9,7 +10,12 @@ import time
 import numpy as np
 
 from homlab import kernels
+from homlab.corrector import build_corrector_set, extended_components
+from homlab.diagnostics import growth_profile
+from homlab.lattice import GridSpec, ball_mean_field
 from homlab.partition import build_partition
+from homlab.randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
+                                sample_gaussian, to_coefficients)
 
 
 def _time(fn, *args, repeat=5):
@@ -59,7 +65,36 @@ def bench_interaction():
               f"{t_bf / t_pr:>9.1f}x")
 
 
+def _growth_by_ball_means(corr, radii):
+    """The growth profile as two ball-mean convolutions per component and
+    radius: torus mean of K_R * c^2 - (K_R * c)^2."""
+    comps = extended_components(corr.phi, corr.sigma)
+    return np.array([
+        sum(float(np.mean(ball_mean_field(c**2, r, corr.grid)
+                          - ball_mean_field(c, r, corr.grid) ** 2))
+            for c in comps)
+        for r in radii])
+
+
+def bench_growth():
+    print(f"\n{'growth_profile':<24}{'ball means':>12}{'parseval':>12}"
+          f"{'speedup':>10}")
+    grid = GridSpec(3, 64)
+    g = sample_gaussian(CovarianceSpec(3.5, 0.0), grid, SeedSpec(0, 0))
+    corr = build_corrector_set(
+        to_coefficients(g, CoefficientModel(0.25, 0.0), None, grid))
+    radii = (4.0, 8.0)
+    t_old = _time(_growth_by_ball_means, corr, radii, repeat=3)
+    t_new = _time(growth_profile, corr, radii, repeat=3)
+    want = _growth_by_ball_means(corr, radii)
+    got = growth_profile(corr, radii).values
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    print(f"d=3 n=64 radii 4, 8{'':<5}{t_old * 1e3:>10.2f}ms"
+          f"{t_new * 1e3:>10.2f}ms{t_old / t_new:>9.1f}x")
+
+
 if __name__ == "__main__":
     print(f"numba path enabled: {kernels.USE_NUMBA}\n")
     bench_divform()
     bench_interaction()
+    bench_growth()

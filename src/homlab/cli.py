@@ -274,8 +274,6 @@ def main(argv=None):
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed override")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads (0 = auto)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("sample")
     sub.add_parser("corrector")
@@ -302,8 +300,6 @@ def main(argv=None):
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg["master_seed"] = args.seed
-        if args.threads:
-            os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
         manifest["effective_config"] = {
             k: (list(v) if isinstance(v, tuple) else v)
             for k, v in sorted(cfg.items())}

@@ -109,21 +109,19 @@ class ModifiedCorrectorSet:
 
 def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
                       directions=None):
-    """phi_i for the requested directions (all by default); the other
-    phi_i stay zero, so pass a partial result to ``compute_flux_and_ahom``
-    only to read the requested columns."""
-    d = a.grid.d
-    directions = range(d) if directions is None else directions
-    phi = np.zeros((d,) + a.grid.shape)
+    """phi_i for the requested directions (all by default), stacked in
+    the order requested: shape (len(directions),) + grid."""
+    directions = range(a.grid.d) if directions is None else directions
+    phi = np.empty((len(directions),) + a.grid.shape)
     reports = []
-    for i in directions:
+    for row, i in enumerate(directions):
         g = a.a[:, i]  # a e_i as a vector field
         u, rep = solve_divform(a, g, 0.0, opts)
         if not rep.converged:
             raise RuntimeError(
                 f"corrector solve for direction {i} did not converge "
                 f"(residual {rep.residual:.3e})")
-        phi[i] = u
+        phi[row] = u
         reports.append(rep)
     return phi, reports
 
@@ -146,8 +144,10 @@ def _curl(q_i, j, k):
 
 def compute_flux_and_ahom(a: CoefficientField, phi):
     """Fluxes q_i (mean-zero exactly) and a_hom column i =
-    mean of a (grad phi_i + e_i)."""
+    mean of a (grad phi_i + e_i); ``phi`` must hold all d correctors."""
     d = a.grid.d
+    if phi.shape[0] != d:
+        raise ValueError(f"need all {d} correctors, got {phi.shape[0]}")
     q = np.zeros((d, d) + a.grid.shape)
     a_hom = np.zeros((d, d))
     for i in range(d):
@@ -223,7 +223,6 @@ def extended_components(phi, sigma: SkewField):
     """Stacked components of the extended corrector (phi, sigma) scaled so
     that the plain sum of squares equals |(phi, sigma)|^2 (each unordered
     sigma pair stands for both orderings, hence the sqrt(2) weight)."""
-    d = phi.shape[0]
     shape = phi.shape[1:]
     sig = sigma.values.reshape((-1,) + shape) * np.sqrt(2.0)
     return np.concatenate([phi, sig], axis=0)

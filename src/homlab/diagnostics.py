@@ -7,7 +7,8 @@ import numpy as np
 
 from .corrector import CorrectorSet, extended_components
 from .elliptic import SolveOptions, solve_dirichlet_ball
-from .lattice import Ball, GridSpec, ball_average, ball_mean_field, grad
+from .lattice import (Ball, GridSpec, _offsets, ball_average, ball_mask, grad,
+                      mean_ball_variance)
 
 __all__ = [
     "ExcessReport",
@@ -92,11 +93,8 @@ def excess(grad_u, corr: CorrectorSet, ball: Ball, cond_limit=1e10):
 
 def _centered_variance(comps, ball: Ball, grid: GridSpec):
     """sum over components of the ball variance at the given center."""
-    total = 0.0
-    for comp in comps:
-        m = ball_average(comp, ball, grid)
-        total += ball_average(comp**2, ball, grid) - m**2
-    return total
+    inside = comps[:, ball_mask(grid, ball)]
+    return float(sum(np.mean(inside**2, axis=1) - np.mean(inside, axis=1)**2))
 
 
 def minimal_radius(corr: CorrectorSet, delta, center=None):
@@ -132,13 +130,8 @@ def harmonic_quadratic(a_hom, grid: GridSpec, center, rng):
     q = (q + q.T) / 2
     q -= (np.sum(sym * q) / np.sum(sym * sym)) * sym
     q /= np.linalg.norm(q)
-    coords = []
-    for j in range(d):
-        idx = np.arange(grid.n, dtype=np.float64)
-        off = (idx - center[j] + grid.n / 2) % grid.n - grid.n / 2
-        sh = [1] * d
-        sh[j] = grid.n
-        coords.append(off.reshape(sh))
+    coords = [_offsets(grid.n, center[j]).reshape(
+        (1,) * j + (-1,) + (1,) * (d - 1 - j)) for j in range(d)]
     out = np.zeros(grid.shape)
     for i in range(d):
         for j in range(d):
@@ -197,19 +190,12 @@ def regime_reference(d, beta, radii):
 
 def growth_profile(corr: CorrectorSet, radii, beta=0.0):
     """Centered ball variance of (phi, sigma) as a function of R, averaged
-    over all torus centers (FFT ball means, so every center contributes)."""
+    over all torus centers (by Parseval, so every center contributes)."""
     grid = corr.grid
-    comps = extended_components(corr.phi, corr.sigma)
     radii = np.asarray(radii, dtype=np.float64)
     if np.any(radii > grid.n / 8):
         raise ValueError("growth radii must stay <= L/8")
-    vals = np.zeros(len(radii))
-    for idx, r in enumerate(radii):
-        total = 0.0
-        for comp in comps:
-            m1 = ball_mean_field(comp, r, grid)
-            m2 = ball_mean_field(comp**2, r, grid)
-            total += float(np.mean(m2 - m1**2))
-        vals[idx] = total
+    vals = mean_ball_variance(extended_components(corr.phi, corr.sigma),
+                              radii, grid)
     ref, regime = regime_reference(grid.d, beta, radii)
     return GrowthProfile(radii, vals, ref, regime)

@@ -21,6 +21,7 @@ __all__ = [
     "ball_average",
     "box_mollify",
     "ball_mean_field",
+    "mean_ball_variance",
     "save_field",
     "load_field",
 ]
@@ -175,6 +176,22 @@ def _ball_kernel_hat(grid: GridSpec, radius):
     return np.fft.rfftn(kern)
 
 
+def mean_ball_variance(comps, radii, grid: GridSpec):
+    """Per radius R, sum over components u of the torus mean over x of the
+    variance of u on B_R(x): sum_u mean(u^2) - mean((K_R * u)^2), the second
+    mean by Parseval as sum_k |u_hat_k|^2 |K_hat_R,k|^2 / N^2 (N cells)."""
+    power = sq = 0.0
+    for comp in comps:
+        sq += float(np.vdot(comp, comp))
+        power += np.abs(np.fft.rfftn(comp)) ** 2
+    # the half spectrum stands for +-k_last, except at k_last = 0, n/2
+    power[..., 1:-1] *= 2.0
+    cells = float(grid.n**grid.d)
+    return np.array([
+        (sq - float(np.vdot(power, np.abs(_ball_kernel_hat(grid, r)) ** 2))
+         / cells) / cells for r in radii])
+
+
 def ball_mean_field(u, radius, grid: GridSpec):
     """At each x, the mean of u over the ball of given radius centered at x.
 
@@ -183,15 +200,11 @@ def ball_mean_field(u, radius, grid: GridSpec):
     """
     if radius > grid.n / 4:
         raise ValueError("mollification scale exceeds L/4")
-    khat = _ball_kernel_hat(grid, radius)
-    if u.ndim == grid.d:
-        return np.fft.irfftn(np.fft.rfftn(u) * khat, s=grid.shape,
-                              axes=range(grid.d))
+    axes = tuple(range(-grid.d, 0))
     flat = u.reshape((-1,) + grid.shape)
-    out = np.empty_like(flat)
-    for i, comp in enumerate(flat):
-        out[i] = np.fft.irfftn(np.fft.rfftn(comp) * khat, s=grid.shape,
-                                  axes=range(grid.d))
+    out = np.fft.irfftn(np.fft.rfftn(flat, axes=axes)
+                        * _ball_kernel_hat(grid, radius), s=grid.shape,
+                        axes=axes)
     return out.reshape(u.shape)
 
 

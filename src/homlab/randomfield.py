@@ -103,7 +103,9 @@ class CoefficientField:
                                 self.lam_eff, self.grid)
 
     def is_symmetric(self, tol=1e-13):
-        return float(np.max(np.abs(self.a - np.swapaxes(self.a, 0, 1)))) <= tol
+        """max |a_ij - a_ji| <= tol over cells and the pairs i > j."""
+        return all(float(np.max(np.abs(self.a[i, j] - self.a[j, i]))) <= tol
+                   for i in range(self.grid.d) for j in range(i))
 
 
 def _spectral_density(spec: CovarianceSpec, grid: GridSpec):

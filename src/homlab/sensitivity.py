@@ -64,7 +64,7 @@ class DerivativeField:
 def _corrector(a: CoefficientField, i, opts):
     """phi_i, the one corrector a functional of direction i needs."""
     phi, _ = compute_corrector(a, opts, directions=[i])
-    return phi[i]
+    return phi[0]
 
 
 def _value(a: CoefficientField, spec: FunctionalSpec, phi):
@@ -144,7 +144,9 @@ def carre_du_champ(deriv: DerivativeField, labels):
 def fd_check(a: CoefficientField, spec: FunctionalSpec, cell, delta_a,
              t=None, opts: SolveOptions = None, deriv: DerivativeField = None):
     """Perturb a by t * delta_a on one cell, recompute F exactly, and
-    compare the difference quotient with the adjoint prediction.
+    compare the difference quotient with the adjoint prediction, relative
+    to ||dF/da(cell)||_F ||delta_a||_F: that bounds |adjoint| (Cauchy-
+    Schwarz) but, unlike it, is not ~0 when delta_a is orthogonal to dF/da.
 
     The unperturbed F(a) is ``deriv.value``, so only the perturbed corrector
     is solved here; without ``deriv`` the derivative is computed first.  A
@@ -163,11 +165,12 @@ def fd_check(a: CoefficientField, spec: FunctionalSpec, cell, delta_a,
         raise ValueError(f"derivative solved with {deriv.opts}, "
                          f"fd_check asked for {opts}")
     delta_a = np.asarray(delta_a, dtype=np.float64)
-    adj = float(np.sum(deriv.deriv[(Ellipsis,) + tuple(cell)] * delta_a))
+    local = deriv.deriv[(Ellipsis,) + tuple(cell)]
+    adj = float(np.sum(local * delta_a))
     a2 = a.a.copy()
     a2[(Ellipsis,) + tuple(cell)] += t * delta_a
     pert = CoefficientField(a2, a.lam_eff, a.grid)
     f1 = functional_value(pert, spec, opts)
     fd = (f1 - deriv.value) / t
-    denom = max(abs(adj), 1e-300)
+    denom = max(float(np.linalg.norm(local) * np.linalg.norm(delta_a)), 1e-300)
     return abs(fd - adj) / denom, fd, adj

@@ -134,11 +134,13 @@ def test_criterion_04_voigt_reuss():
     for idx in range(plan.m):
         a = sample_coefficients(plan, idx)
         phi, _ = compute_corrector(a, opts, directions=[0])
-        _, tensor = compute_flux_and_ahom(a, phi)
+        gp = grad(phi[0])
+        gp[0] += 1.0
         a11 = a.a[0, 0]
         harm = 1.0 / np.mean(1.0 / a11)
         arith = np.mean(a11)
-        got = tensor.matrix[0, 0]
+        # a_hom_11: the torus mean of (a (grad phi_1 + e_1))_1
+        got = float(np.mean(np.einsum("q...,q...->...", a.a[0], gp)))
         margin = min(margin, got - harm, arith - got)
     _report(4, margin >= -1e-9,
             f"harmonic <= a_hom_11 <= arithmetic on 32/32 realizations "

@@ -53,6 +53,11 @@ class TestExitCodes:
         assert manifest["status"] == "failed"
         assert "bogus" in manifest["error"]
 
+    def test_threads_is_unknown_argument(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "--out", str(tmp_path), "sample"])
+        assert exc.value.code == 2
+
     def test_growth_radius_is_config_error(self, tmp_path):
         cfg = _write(tmp_path, "grid = 64\nradii = 16\nrealizations = 2\n")
         out = tmp_path / "out"

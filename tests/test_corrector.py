@@ -59,6 +59,15 @@ class TestCorrector:
         assert np.max(np.abs(got - want)) < 1e-8
         assert np.max(np.abs(phi[1])) < 1e-8
 
+    def test_partial_directions_return_requested_rows(self):
+        a = _random_field(2)
+        full, _ = compute_corrector(a, OPTS)
+        phi, reports = compute_corrector(a, OPTS, directions=[1])
+        assert phi.shape == (1,) + GRID.shape and len(reports) == 1
+        assert np.array_equal(phi[0], full[1])
+        phi, _ = compute_corrector(a, OPTS, directions=[1, 0])
+        assert np.array_equal(phi, full[::-1])
+
 
 class TestFluxAndAhom:
     def test_corrector_set_columns_match_single_solves(self):
@@ -66,11 +75,16 @@ class TestFluxAndAhom:
         grid = GridSpec(2, 64)
         a = _random_field(9, grid=grid)
         corr = build_corrector_set(a, OPTS)
-        for i in range(2):
-            phi, _ = compute_corrector(a, OPTS, directions=[i])
-            _, tensor = compute_flux_and_ahom(a, phi)
-            assert np.allclose(corr.a_hom[:, i], tensor.matrix[:, i],
-                               rtol=1e-12, atol=0.0)
+        phi = np.concatenate([compute_corrector(a, OPTS, directions=[i])[0]
+                              for i in range(2)])
+        _, tensor = compute_flux_and_ahom(a, phi)
+        assert np.allclose(corr.a_hom, tensor.matrix, rtol=1e-12, atol=0.0)
+
+    def test_partial_corrector_raises(self):
+        a = _random_field(9)
+        phi, _ = compute_corrector(a, OPTS, directions=[1])
+        with pytest.raises(ValueError):
+            compute_flux_and_ahom(a, phi)
 
     def test_constant_tensor(self):
         mat = np.array([[0.8, 0.1], [-0.1, 0.6]])

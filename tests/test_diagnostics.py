@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from homlab.corrector import build_corrector_set
+from homlab.corrector import build_corrector_set, extended_components
 from homlab.diagnostics import (DegenerateGramError, dyadic_radii, excess,
                                 excess_decay_experiment, gradient_average,
                                 growth_profile, harmonic_quadratic,
                                 mean_value_ratio, minimal_radius,
                                 regime_reference)
 from homlab.elliptic import SolveOptions
-from homlab.lattice import Ball, GridSpec, grad
+from homlab.lattice import Ball, GridSpec, ball_mean_field, grad
 from homlab.randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
                                 constant_coefficients, sample_gaussian,
                                 to_coefficients)
@@ -22,6 +22,21 @@ def _corr(seed=0, grid=GRID):
     g = sample_gaussian(spec, grid, SeedSpec(seed, 0))
     a = to_coefficients(g, CoefficientModel(0.25, 0.0), None, grid)
     return a, build_corrector_set(a, OPTS)
+
+
+def _growth_by_ball_means(corr, radii):
+    """Reference growth profile in real space: for each component c the
+    torus mean of K_R * c^2 - (K_R * c)^2, by two ball-mean convolutions."""
+    comps = extended_components(corr.phi, corr.sigma)
+    vals = []
+    for r in radii:
+        total = 0.0
+        for comp in comps:
+            m1 = ball_mean_field(comp, r, corr.grid)
+            m2 = ball_mean_field(comp**2, r, corr.grid)
+            total += float(np.mean(m2 - m1**2))
+        vals.append(total)
+    return np.array(vals)
 
 
 def test_dyadic_radii():
@@ -140,6 +155,22 @@ class TestGrowth:
         prof = growth_profile(corr, [2.0, 4.0, 8.0], beta=0.0)
         assert prof.regime == "critical"
         assert np.all(np.diff(prof.values) > 0.0)  # variance grows with R
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (3, 32)])
+    def test_matches_ball_mean_reference(self, d, n):
+        grid = GridSpec(d, n)
+        spec = CovarianceSpec(2.5 if d == 2 else 3.5, 0.0)
+        g = sample_gaussian(spec, grid, SeedSpec(7, 0))
+        a = to_coefficients(g, CoefficientModel(0.25, 0.0), None, grid)
+        corr = build_corrector_set(a, OPTS)
+        radii = [1.0, 2.0, n / 8]
+        got = growth_profile(corr, radii).values
+        want = _growth_by_ball_means(corr, radii)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        # a single-cell ball has no variance
+        comps = extended_components(corr.phi, corr.sigma)
+        total = sum(float(np.mean(c**2)) for c in comps)
+        assert abs(growth_profile(corr, [0.5]).values[0]) <= 1e-12 * total
 
     def test_radius_cap(self):
         a, corr = _corr(6)

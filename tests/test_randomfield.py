@@ -3,10 +3,11 @@ import pytest
 
 from homlab.ensemble import fit_power_law
 from homlab.lattice import GridSpec
-from homlab.randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
-                                beta_effective, check_admissible,
-                                constant_coefficients, empirical_covariance,
-                                sample_gaussian, to_coefficients)
+from homlab.randomfield import (CoefficientField, CoefficientModel,
+                                CovarianceSpec, SeedSpec, beta_effective,
+                                check_admissible, constant_coefficients,
+                                empirical_covariance, sample_gaussian,
+                                to_coefficients)
 
 GRID = GridSpec(2, 64)
 SPEC = CovarianceSpec(2.5, 0.0)
@@ -82,6 +83,17 @@ class TestCoefficients:
         # skew part is exactly antisymmetric
         skew = (a.a - np.swapaxes(a.a, 0, 1)) / 2
         assert np.allclose(skew[0, 1], -skew[1, 0])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_symmetry_tolerance(self, d):
+        grid = GridSpec(d, 8)
+        a = constant_coefficients(grid, np.full((d, d), 0.1) + 0.5 * np.eye(d))
+        cell = (d - 2, d - 1) + (3,) * d
+        for gap, want in ((2e-13, False), (5e-14, True)):
+            b = CoefficientField(a.a.copy(), a.lam_eff, grid)
+            b.a[cell] += gap
+            assert b.is_symmetric() is want
+            assert b.transpose().is_symmetric() is want
 
     def test_skew_needs_field(self):
         g = sample_gaussian(SPEC, GRID, SeedSpec(2, 0))

@@ -58,6 +58,23 @@ class TestAdjoint:
         e2, _, _ = fd_check(a, spec, (7, 2), np.eye(2), 1e-4, OPTS, deriv)
         assert e2 < 0.75 * e1 + 1e-7
 
+    @pytest.mark.parametrize("kind", ["phi", "sigma"])
+    def test_error_scale_survives_orthogonal_perturbation(self, kind):
+        # delta_a Frobenius-orthogonal to dF/da at the cell: the adjoint
+        # prediction is ~0, yet the relative error stays small and O(t)
+        a = _field(1)
+        spec = FunctionalSpec(kind, _weight(1))
+        deriv = malliavin_derivative(a, spec, OPTS)
+        cell = (5, 9)
+        local = deriv.deriv[(Ellipsis,) + cell]
+        da = np.eye(2) - np.sum(local * np.eye(2)) / np.sum(local**2) * local
+        da /= np.linalg.norm(da)
+        e1, _, adj = fd_check(a, spec, cell, da, 2e-5, OPTS, deriv)
+        e2, _, _ = fd_check(a, spec, cell, da, 1e-5, OPTS, deriv)
+        assert abs(adj) < 1e-12
+        assert e1 <= 1e-4
+        assert 0.35 * e1 < e2 < 0.65 * e1
+
     def test_linearity_in_weight(self):
         a = _field(4)
         g1, g2 = _weight(4), _weight(5)
@@ -110,9 +127,11 @@ class TestValueReuse:
             pert = CoefficientField(a2, a.lam_eff, a.grid)
             want = (functional_value(pert, spec, OPTS)
                     - functional_value(a, spec, OPTS)) / t
-            want_adj = float(np.sum(deriv.deriv[(Ellipsis,) + cell] * da))
+            local = deriv.deriv[(Ellipsis,) + cell]
+            want_adj = float(np.sum(local * da))
             assert (fd, adj) == (want, want_adj)
-            assert err == abs(want - want_adj) / abs(want_adj)
+            scale = float(np.linalg.norm(local) * np.linalg.norm(da))
+            assert err == abs(want - want_adj) / scale
             assert (err, fd, adj) == fd_check(a, spec, cell, da, t, OPTS)
 
     @pytest.mark.parametrize("kind", ["phi", "sigma"])
