@@ -26,8 +26,7 @@ from .ensemble import (ExperimentPlan, ExperimentRecord, FitResult,
 from .lattice import (Ball, GridSpec, ball_average, ball_mask, div, grad,
                       load_field, poisson_solve, save_field)
 from .partition import (Partition, build_partition, check_refinement,
-                        interaction_sum, lattice_partition_labels,
-                        locate_cell)
+                        interaction_sum, lattice_partition_labels)
 from .randomfield import (CoefficientField, CoefficientModel, CovarianceSpec,
                           SeedSpec, beta_effective, check_admissible,
                           constant_coefficients, sample_gaussian,

@@ -214,8 +214,8 @@ def cmd_partition_check(cfg, outdir):
     beta = cfg["beta"] if cfg["beta"] >= 0 else beta_effective(cfg["gamma"], d)
     part = _configured(build_partition, cfg["region"], beta, d)
     c_meas = check_refinement(part)
-    gamma = max(cfg["gamma"], d * (1.0 - beta) + 0.5)
-    inter = interaction_sum(part, gamma)
+    gamma = cfg["gamma"]
+    inter = _configured(interaction_sum, part, gamma)
     lines = [",".join([f"corner{j}" for j in range(d)]
                       + ["side", "diam", "dist", "n_sub"])]
     diam, dist = part.diam, part.dist

@@ -200,9 +200,7 @@ def compute_modified(a: CoefficientField, T, opts: SolveOptions = None):
         if not rep.converged:
             raise RuntimeError(f"modified corrector solve failed: {rep}")
         phi_T[i] = u
-        gp = grad(u)
-        gp[i] += 1.0
-        q_T[i] = np.einsum("pq...,q...->p...", a.a, gp)
+        q_T[i] = _flux(a, u, i)[0]
         reports.append(rep)
     pairs = _pairs(d)
     vals = np.zeros((d, len(pairs)) + grid.shape)

@@ -14,7 +14,6 @@ __all__ = [
     "build_partition",
     "check_refinement",
     "interaction_sum",
-    "locate_cell",
     "lattice_partition_labels",
 ]
 
@@ -143,37 +142,15 @@ def interaction_sum(part: Partition, gamma):
         part.corners, part.sides, gamma, part.wedge))
 
 
-def locate_cell(point, beta, d=None):
-    """Index-free location of the partition cell containing a point:
-    returns (corner, side) of the cell from the triadic construction."""
-    point = np.asarray(point, dtype=np.float64)
-    d = d if d is not None else point.size
-    m = float(np.max(np.abs(point)))
-    if m < 0.5:
-        corner, side = np.full(d, -0.5), 1.0
-    else:
-        # level k with the point inside the shell 3^k([-3/2,3/2) \ [-1/2,1/2))
-        k = 0
-        while 0.5 * 3.0 ** (k + 1) <= m:
-            k += 1
-        side = 3.0**k
-        shift = np.floor(point / side + 0.5)
-        corner = side * (shift - 0.5)
-    n = _subdivision_count(side, corner, beta, d)
-    sub = side / n
-    idx = np.minimum(np.floor((point - corner) / sub), n - 1)
-    return corner + sub * idx, sub
-
-
 def lattice_partition_labels(grid, beta, center=None):
     """Label array over the torus assigning every cell its partition cell,
     via the periodic offset to ``center`` (default origin).
 
-    ``locate_cell`` for all offsets at once: the triadic level, shift and
-    corner of every offset, one subdivision count per distinct triadic cube,
-    then the sub-cell index.  Labels number the partition cells in the
-    row-major order of their first lattice cell.  The central cube is the
-    level-0 cube with shift 0 (shell cubes have a nonzero shift).
+    The triadic level, shift and corner of every offset, one subdivision
+    count per distinct triadic cube, then the sub-cell index.  Labels number
+    the partition cells in the row-major order of their first lattice cell.
+    The central cube is the level-0 cube with shift 0 (shell cubes have a
+    nonzero shift).
     """
     d, n = grid.d, grid.n
     center = center or (0.0,) * d

@@ -6,9 +6,13 @@ The adjoint is derived for the discrete operators themselves, so the
 finite-difference check is limited only by the O(t) linearization bias and
 the solver tolerance.  ``malliavin_derivative`` evaluates F(a) from the same
 corrector solve it needs for dF/da and stores it on the derivative, so
-``fd_check`` solves only the perturbed corrector.
+``fd_check`` solves only the perturbed corrector.  Corrector solves are
+shared across functionals: the phi and the sigma functional of one direction
+need the same phi_i, on a and on every perturbed field.
 """
 
+import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +65,35 @@ class DerivativeField:
     opts: SolveOptions
 
 
+# One direction's phi_i plus 2 perturbations x 2 steps of an fd check: with
+# fewer entries the phi-then-sigma reuse order evicts each entry before its
+# reuse.  A new field's solves evict the old field's entries.
+_MEMO_SIZE = 5
+_memo = OrderedDict()
+
+
 def _corrector(a: CoefficientField, i, opts):
-    """phi_i, the one corrector a functional of direction i needs."""
-    phi, _ = compute_corrector(a, opts, directions=[i])
-    return phi[0]
+    """phi_i, the one corrector a functional of direction i needs, read-only.
+
+    Solves are memoized on a digest of the coefficients, the direction and
+    the options, so a repeat returns the bit-identical array.  Only converged
+    solves are stored (``compute_corrector`` raises otherwise)."""
+    opts = opts or SolveOptions()
+    coeffs = np.ascontiguousarray(a.a)
+    key = (hashlib.sha256(coeffs.data).hexdigest(), coeffs.shape,
+           coeffs.dtype.str, i, opts)
+    phi = _memo.get(key)
+    if phi is not None:
+        _memo.move_to_end(key)
+        return phi
+    if len(_memo) >= _MEMO_SIZE:
+        # evict before solving: the solve's working arrays then share the
+        # peak with 4 held entries, not 5
+        _memo.popitem(last=False)
+    phi = compute_corrector(a, opts, directions=[i])[0][0]
+    phi.flags.writeable = False
+    _memo[key] = phi
+    return phi
 
 
 def _value(a: CoefficientField, spec: FunctionalSpec, phi):

@@ -75,6 +75,8 @@ class TestExitCodes:
         ("tol = 0.5\n", ["diagnose"]),
         ("delta = 0\n", ["diagnose"]),
         ("region = 5\n", ["partition-check"]),
+        ("region = 4.5\ngamma = 1.0\nbeta = 0\n", ["partition-check"]),
+        ("region = 4.5\ngamma = 1.5\n", ["partition-check"]),
         ("fd_step = 0\n", ["sensitivity-check"]),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, text, command):
@@ -165,8 +167,19 @@ class TestCommands:
         assert code == 0
         payload = json.loads((out / "partition.json").read_text())
         assert payload["C_meas"] >= 1.0
+        assert payload["gamma"] == 2.5
         header = (out / "cells.csv").read_text().splitlines()[0]
         assert header == "corner0,corner1,side,diam,dist,n_sub"
+
+    def test_partition_check_keeps_gamma(self, tmp_path):
+        # 2.2 lies above d(1 - beta) = 2 but below 2.5, the value the
+        # command once put in its place
+        cfg = _write(tmp_path, "region = 4.5\ngamma = 2.2\nbeta = 0\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out),
+                     "partition-check"]) == 0
+        payload = json.loads((out / "partition.json").read_text())
+        assert payload["gamma"] == 2.2
 
     def test_sensitivity_check(self, tmp_path):
         cfg = _write(tmp_path, "grid = 32\nskew = 0.1\ntol = 1e-12\n")

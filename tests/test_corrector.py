@@ -181,6 +181,17 @@ class TestModified:
                - np.roll(mod.q_T[0, 0], -1, axis=1) + mod.q_T[0, 0])
         assert np.allclose(s / T + lap, rhs, atol=1e-9)
 
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    def test_flux_is_the_inline_expression(self, nu):
+        # q_T_i = a (grad phi_T_i + e_i), bit for bit as the einsum it was
+        a = _random_field(9, nu)
+        mod = compute_modified(a, 16.0, OPTS)
+        for i in range(2):
+            gp = grad(mod.phi_T[i])
+            gp[i] += 1.0
+            want = np.einsum("pq...,q...->p...", a.a, gp)
+            assert np.array_equal(mod.q_T[i], want)
+
     def test_T_validation(self):
         a = _random_field(7)
         with pytest.raises(ValueError):

@@ -2,9 +2,32 @@ import numpy as np
 import pytest
 
 from homlab.lattice import GridSpec
-from homlab.partition import (build_partition, check_refinement,
-                              interaction_sum, lattice_partition_labels,
-                              locate_cell)
+from homlab.partition import (_subdivision_count, build_partition,
+                              check_refinement, interaction_sum,
+                              lattice_partition_labels)
+
+
+def locate_cell(point, beta, d=None):
+    """Index-free location of the partition cell containing a point:
+    returns (corner, side) of the cell from the triadic construction.  The
+    per-point reference for the vectorized labels."""
+    point = np.asarray(point, dtype=np.float64)
+    d = d if d is not None else point.size
+    m = float(np.max(np.abs(point)))
+    if m < 0.5:
+        corner, side = np.full(d, -0.5), 1.0
+    else:
+        # level k with the point inside the shell 3^k([-3/2,3/2) \ [-1/2,1/2))
+        k = 0
+        while 0.5 * 3.0 ** (k + 1) <= m:
+            k += 1
+        side = 3.0**k
+        shift = np.floor(point / side + 0.5)
+        corner = side * (shift - 0.5)
+    n = _subdivision_count(side, corner, beta, d)
+    sub = side / n
+    idx = np.minimum(np.floor((point - corner) / sub), n - 1)
+    return corner + sub * idx, sub
 
 
 def _labels_reference(grid, beta, center=None):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from homlab.corrector import build_corrector_set
+import homlab.corrector
+import homlab.sensitivity
+from homlab.corrector import build_corrector_set, compute_corrector
 from homlab.elliptic import SolveOptions
 from homlab.lattice import GridSpec, grad
 from homlab.partition import lattice_partition_labels
@@ -25,6 +27,33 @@ def _field(seed=0, nu=0.1):
 
 def _weight(seed=0):
     return np.random.default_rng(seed).standard_normal((2,) + GRID.shape)
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    """Each test starts with no shared corrector solves."""
+    homlab.sensitivity._memo.clear()
+    yield
+    homlab.sensitivity._memo.clear()
+
+
+def _count_solves(monkeypatch):
+    """List that records "corrector" / "adjoint" for every torus solve the
+    sensitivity layer makes from now on."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(homlab.corrector, "solve_divform",
+                        counting("corrector", homlab.corrector.solve_divform))
+    monkeypatch.setattr(homlab.sensitivity, "solve_divform_rhs",
+                        counting("adjoint",
+                                 homlab.sensitivity.solve_divform_rhs))
+    return calls
 
 
 class TestSpec:
@@ -136,26 +165,15 @@ class TestValueReuse:
 
     @pytest.mark.parametrize("kind", ["phi", "sigma"])
     def test_one_corrector_solve_with_derivative(self, kind, monkeypatch):
-        import homlab.corrector
-        import homlab.sensitivity
         a = _field(11)
         spec = FunctionalSpec(kind, _weight(11))
         deriv = malliavin_derivative(a, spec, OPTS)
-        calls = []
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(homlab.corrector, "solve_divform",
-                            counting("corrector", homlab.corrector.solve_divform))
-        monkeypatch.setattr(homlab.sensitivity, "solve_divform_rhs",
-                            counting("adjoint",
-                                     homlab.sensitivity.solve_divform_rhs))
-        fd_check(a, spec, (2, 6), np.eye(2), 1e-5, OPTS, deriv)
+        calls = _count_solves(monkeypatch)
+        first = fd_check(a, spec, (2, 6), np.eye(2), 1e-5, OPTS, deriv)
         assert calls == ["corrector"]
+        repeat = fd_check(a, spec, (2, 6), np.eye(2), 1e-5, OPTS, deriv)
+        assert calls == ["corrector"]
+        assert repeat == first
 
     def test_derivative_options_must_match(self):
         a = _field(12)
@@ -165,6 +183,73 @@ class TestValueReuse:
             fd_check(a, spec, (1, 1), np.eye(2), 1e-5, OPTS, loose)
         with pytest.raises(ValueError):
             fd_check(a, spec, (1, 1), np.eye(2), 1e-5, None, loose)
+
+
+class TestSharedSolves:
+    SKEW = TestValueReuse.SKEW
+
+    def test_hit_equals_fresh_solve(self):
+        a = _field(13)
+        first = homlab.sensitivity._corrector(a, 1, OPTS)
+        assert homlab.sensitivity._corrector(a, 1, OPTS) is first
+        fresh, _ = compute_corrector(a, OPTS, directions=[1])
+        assert np.array_equal(first, fresh[0])
+
+    def test_options_and_coefficients_are_keyed(self, monkeypatch):
+        a = _field(14)
+        homlab.sensitivity._corrector(a, 0, OPTS)
+        calls = _count_solves(monkeypatch)
+        homlab.sensitivity._corrector(a, 0, OPTS)
+        assert calls == []
+        homlab.sensitivity._corrector(a, 0, SolveOptions(tol=1e-11))
+        assert calls == ["corrector"]
+        homlab.sensitivity._corrector(a, 1, OPTS)
+        assert calls == ["corrector"] * 2
+        a.a[0, 0, 3, 5] += 1e-3
+        phi = homlab.sensitivity._corrector(a, 0, OPTS)
+        assert calls == ["corrector"] * 3
+        fresh, _ = compute_corrector(a, OPTS, directions=[0])
+        assert np.array_equal(phi, fresh[0])
+
+    def test_default_options_share_the_key(self, monkeypatch):
+        a = _field(15)
+        homlab.sensitivity._corrector(a, 0, None)
+        calls = _count_solves(monkeypatch)
+        homlab.sensitivity._corrector(a, 0, SolveOptions())
+        assert calls == []
+
+    def test_cached_arrays_are_read_only(self):
+        a = _field(16)
+        phi = homlab.sensitivity._corrector(a, 0, OPTS)
+        with pytest.raises(ValueError):
+            phi[0, 0] = 1.0
+
+    def test_memo_is_bounded(self):
+        a = _field(17)
+        for step in range(8):
+            a2 = a.a.copy()
+            a2[0, 0, step, 0] += 1e-3
+            homlab.sensitivity._corrector(
+                CoefficientField(a2, a.lam_eff, a.grid), 0, OPTS)
+            assert len(homlab.sensitivity._memo) <= 5
+        assert len(homlab.sensitivity._memo) == 5
+
+    def test_phi_then_sigma_solves_seven_times(self, monkeypatch):
+        # criterion 3's sequence: for each kind one derivative, then fd
+        # checks at t and t/2 for a symmetric and a skew perturbation.
+        # phi_0 and the 4 perturbed correctors are solved once; each kind
+        # adds one adjoint solve.
+        a = _field(18)
+        g = _weight(18)
+        calls = _count_solves(monkeypatch)
+        for kind in ("phi", "sigma"):
+            spec = FunctionalSpec(kind, g)
+            deriv = malliavin_derivative(a, spec, OPTS)
+            for da in (np.eye(2), self.SKEW):
+                for t in (2e-5, 1e-5):
+                    fd_check(a, spec, (9, 4), da, t, OPTS, deriv)
+        assert calls.count("corrector") == 5
+        assert calls.count("adjoint") == 2
 
 
 class TestCarreDuChamp:
