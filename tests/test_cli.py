@@ -75,9 +75,9 @@ class TestExitCodes:
         ("tol = 0.5\n", ["diagnose"]),
         ("delta = 0\n", ["diagnose"]),
         ("region = 5\n", ["partition-check"]),
+        ("fd_step = 0\n", ["sensitivity-check"]),
         ("region = 4.5\ngamma = 1.0\nbeta = 0\n", ["partition-check"]),
         ("region = 4.5\ngamma = 1.5\n", ["partition-check"]),
-        ("fd_step = 0\n", ["sensitivity-check"]),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, text, command):
         cfg = _write(tmp_path, text)
