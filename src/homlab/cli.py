@@ -65,7 +65,7 @@ _DEFAULTS = {
     "tol": 1e-9,
     "max_iter": 100000,
     "constant": 0,
-    "beta": -1.0,  # derived from gamma unless set
+    "beta": None,  # derived from gamma unless set
     "region": 40.5,
     "fd_step": 1e-5,
 }
@@ -211,7 +211,9 @@ def cmd_experiment(cfg, outdir, kind):
 
 def cmd_partition_check(cfg, outdir):
     d = cfg["dimension"]
-    beta = cfg["beta"] if cfg["beta"] >= 0 else beta_effective(cfg["gamma"], d)
+    beta = cfg["beta"]
+    if beta is None:
+        beta = beta_effective(cfg["gamma"], d)
     part = _configured(build_partition, cfg["region"], beta, d)
     c_meas = check_refinement(part)
     gamma = cfg["gamma"]

@@ -17,7 +17,8 @@ import numpy as np
 
 from .elliptic import SolveOptions, SolveReport, solve_divform
 from .lattice import (Ball, GridSpec, ball_average, box_mollify, div, grad,
-                      laplacian_symbol, load_field, poisson_solve, save_field)
+                      laplacian_symbol, load_field, poisson_solve, save_field,
+                      spectral_solve)
 from .randomfield import CoefficientField
 
 __all__ = [
@@ -207,9 +208,7 @@ def compute_modified(a: CoefficientField, T, opts: SolveOptions = None):
     sym = 1.0 / T + laplacian_symbol(grid.shape, rfft=True)
     for i in range(d):
         for p, (j, k) in enumerate(pairs):
-            rhs = _curl(q_T[i], j, k)
-            vals[i, p] = np.fft.irfftn(np.fft.rfftn(rhs) / sym, s=grid.shape,
-                                      axes=range(grid.d))
+            vals[i, p] = spectral_solve(_curl(q_T[i], j, k), sym)
     sigma_T = SkewField(vals, d)
     scale = min(np.sqrt(T), grid.n / 4)
     q_moll = box_mollify(q_T, scale, grid)

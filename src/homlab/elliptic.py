@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dstn, idstn, next_fast_len
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from . import kernels
-from .lattice import Ball, GridSpec, ball_mask, div, laplacian_symbol
+from .lattice import (Ball, GridSpec, ball_mask, div, laplacian_symbol,
+                      spectral_solve)
 from .randomfield import CoefficientField
 
 __all__ = [
@@ -55,22 +57,11 @@ def _mean_diagonal(field: CoefficientField):
 
 
 def _spectral_inverse(field: CoefficientField, inv_t):
-    """Inverse of inv_t + c0 (-lap) via FFT, c0 the mean diagonal."""
-    grid = field.grid
-    d = grid.d
-    c0 = _mean_diagonal(field)
-    sym = inv_t + c0 * laplacian_symbol(grid.shape, rfft=True)
-    zero = (0,) * d
-    if inv_t == 0.0:
-        sym[zero] = 1.0  # zero mode projected out below
-
-    def apply(r):
-        rhat = np.fft.rfftn(r) / sym
-        if inv_t == 0.0:
-            rhat[zero] = 0.0
-        return np.fft.irfftn(rhat, s=grid.shape, axes=range(grid.d))
-
-    return apply
+    """Inverse of inv_t + c0 (-lap) via FFT, c0 the mean diagonal; for
+    inv_t = 0 the zero mode is projected out."""
+    sym = inv_t + _mean_diagonal(field) * laplacian_symbol(field.grid.shape,
+                                                           rfft=True)
+    return lambda r: spectral_solve(r, sym)
 
 
 def _pcg(matvec, b, precond, tol, max_iter):
@@ -125,7 +116,6 @@ def solve_divform_rhs(field: CoefficientField, rhs, inv_t=0.0,
     for inv_t = 0 (rhs projected onto zero mean then)."""
     opts = opts or SolveOptions()
     grid = field.grid
-    a = np.ascontiguousarray(field.a)
     rhs = np.asarray(rhs, dtype=np.float64)
     if inv_t == 0.0:
         rhs = rhs - rhs.mean()
@@ -134,7 +124,7 @@ def solve_divform_rhs(field: CoefficientField, rhs, inv_t=0.0,
         return np.zeros(grid.shape), SolveReport(0, 0.0, True)
 
     def matvec(u):
-        return kernels.divform_apply(a, u, inv_t)
+        return kernels.divform_apply(field.a, u, inv_t)
 
     precond = (_spectral_inverse(field, inv_t)
                if opts.preconditioner == "spectral" else lambda r: r)
@@ -156,9 +146,6 @@ def _dirichlet_inverse(c0, mask):
     """Inverse of c0 (-lap) on the box ``mask.shape`` with zero data on the
     cells just outside it, via DST-I, restricted to ``mask``.  The DST-I
     symbol of a side m is the torus symbol of period 2(m+1) at k = 1..m."""
-    # scipy.fft is loaded on first use, so that runs without ball solves
-    # do not pay its ~50 ms and ~5 MB at import
-    from scipy.fft import dstn, idstn
     sym = c0 * laplacian_symbol(tuple(2 * (m + 1) for m in mask.shape))[
         tuple(slice(1, m + 1) for m in mask.shape)]
 
@@ -173,7 +160,6 @@ def _ball_box(grid: GridSpec, ball: Ball):
     on each side, so that each ball row's stencil (x +- e_j, x - e_i + e_j)
     stays inside it and the box's own wrap reaches only rows outside the
     ball.  Each side m is rounded up to a fast DST-I (FFT length 2(m+1))."""
-    from scipy.fft import next_fast_len
     axes = []
     for c in ball.center:
         lo = math.floor(c - ball.radius) - 1
@@ -212,6 +198,6 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
     u_in, it = solver(matvec, rhs, precond, 0.1 * opts.tol, opts.max_iter)
     u = boundary.copy()
     u[box] = np.where(inside, u_in, boundary[box])
-    full = kernels.divform_apply(np.ascontiguousarray(field.a), u, 0.0)
+    full = kernels.divform_apply(field.a, u, 0.0)
     res = float(np.linalg.norm(np.where(mask, full, 0.0))) / bnorm
     return u, SolveReport(it, res, res <= opts.tol)

@@ -6,6 +6,7 @@ import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.fft import fftfreq, rfftfreq
 
 from .corrector import (build_corrector_set, compute_F_RT,
                         compute_corrector, compute_flux_and_ahom,
@@ -13,7 +14,7 @@ from .corrector import (build_corrector_set, compute_F_RT,
 from .diagnostics import (dyadic_radii, excess_decay_experiment,
                           growth_profile, gradient_average, minimal_radius)
 from .elliptic import SolveOptions, solve_divform_rhs
-from .lattice import GridSpec, grad
+from .lattice import GridSpec, grad, spectral_solve
 from .randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
                           beta_effective, constant_coefficients,
                           sample_gaussian, to_coefficients)
@@ -238,27 +239,20 @@ def _product_sine(grid: GridSpec):
 
 
 def _constant_coefficient_solve(a_hom, f):
-    """Exact spectral solve of -div(a_hom grad u) = f with the discrete
-    forward/backward symbols."""
-    shape = f.shape
-    d = len(shape)
-    n = shape[0]
-    sym = np.zeros(shape, dtype=np.complex128)
+    """Exact spectral solve of -div(a_hom grad u) = f - mean(f) with the
+    discrete forward/backward symbols, zero-mean u.  The symbol
+    conj(s_p) a_pq s_q lives on the rfft half spectrum: real a_hom makes it
+    Hermitian, sym(-k) = conj(sym(k))."""
+    d = f.ndim
     ss = []
-    for j in range(d):
-        freq = np.fft.fftfreq(n)
-        s = np.exp(2j * np.pi * freq) - 1.0
+    for j, n in enumerate(f.shape):
+        freq = rfftfreq(n) if j == d - 1 else fftfreq(n)
         sh = [1] * d
-        sh[j] = n
-        ss.append(s.reshape(sh))
-    for p in range(d):
-        for q in range(d):
-            sym = sym + np.conj(ss[p]) * a_hom[p, q] * ss[q]
-    fhat = np.fft.fftn(f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uhat = fhat / sym
-    uhat[(0,) * d] = 0.0
-    return np.real(np.fft.ifftn(uhat))
+        sh[j] = freq.size
+        ss.append((np.exp(2j * np.pi * freq) - 1.0).reshape(sh))
+    sym = sum(np.conj(ss[p]) * a_hom[p, q] * ss[q]
+              for p in range(d) for q in range(d))
+    return spectral_solve(f, sym)
 
 
 def run_ensemble(plan: ExperimentPlan, progress=None):

@@ -1,39 +1,27 @@
 """Hot numeric kernels: operator application and partition interaction sums.
 
-``divform_apply`` is numba-compiled when numba is importable and pure numpy
-otherwise.  ``pair_interaction_sup`` is fast on either path because it
-prunes: a numpy tile hierarchy bounds every cell's interaction sum from
-above, and only the few cells whose bound beats the best full sum so far are
-summed in full; numba, when present, only computes those full sums.  Set the
-environment variable ``HOMLAB_NUMBA=0`` to force the pure-numpy paths.  The
-brute-force ``divform_apply_numpy`` and ``pair_interaction_sup_numpy`` are the
-correctness references (see ``benchmarks/bench_kernels.py``).
+``divform_apply`` is the periodic stencil of ``inv_t - div(a grad .)`` in
+numpy.  ``pair_interaction_sup`` prunes: a tile hierarchy bounds every
+cell's interaction sum from above, and only the few cells whose bound beats
+the best full sum so far are summed in full.  The brute-force
+``pair_interaction_sup_numpy`` is its correctness reference.
 """
-
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("HOMLAB_NUMBA", "1") != "0"
-
-if USE_NUMBA:
-    try:
-        import numba
-        from numba import njit, prange
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
+# read by the benchmark's environment fingerprint; there is no compiled path
+USE_NUMBA = False
 
 __all__ = [
-    "USE_NUMBA",
     "divform_apply",
-    "divform_apply_numpy",
     "pair_interaction_sup",
     "pair_interaction_sup_numpy",
 ]
 
 
-def divform_apply_numpy(a, u, inv_t):
-    """inv_t*u - div(a grad u) with forward-difference grad, backward div.
+def divform_apply(a, u, inv_t=0.0):
+    """inv_t*u - div(a grad u) on the torus, with forward-difference grad
+    and backward div.
 
     a has shape (d, d) + grid, u has shape grid; coefficients are applied
     cellwise to the forward-difference gradient.
@@ -181,96 +169,6 @@ def _interaction_bounds(corners, sides, gamma, outer):
     return bounds
 
 
-if USE_NUMBA:
-
-    @njit(cache=True, fastmath=True)
-    def _divform_apply_2d(a, u, inv_t, out):
-        n0, n1 = u.shape
-        for x0 in range(n0):
-            x0p = x0 + 1 if x0 + 1 < n0 else 0
-            x0m = x0 - 1 if x0 > 0 else n0 - 1
-            for x1 in range(n1):
-                x1p = x1 + 1 if x1 + 1 < n1 else 0
-                x1m = x1 - 1 if x1 > 0 else n1 - 1
-                t0 = u[x0p, x1] - u[x0, x1]
-                t1 = u[x0, x1p] - u[x0, x1]
-                # flux component 0 at (x0-1, x1) and 1 at (x0, x1-1)
-                s0 = u[x0, x1] - u[x0m, x1]
-                s1 = u[x0m, x1p] - u[x0m, x1]
-                r0 = u[x0p, x1m] - u[x0, x1m]
-                r1 = u[x0, x1] - u[x0, x1m]
-                f0 = a[0, 0, x0, x1] * t0 + a[0, 1, x0, x1] * t1
-                f0m = a[0, 0, x0m, x1] * s0 + a[0, 1, x0m, x1] * s1
-                f1 = a[1, 0, x0, x1] * t0 + a[1, 1, x0, x1] * t1
-                f1m = a[1, 0, x0, x1m] * r0 + a[1, 1, x0, x1m] * r1
-                out[x0, x1] = inv_t * u[x0, x1] - (f0 - f0m) - (f1 - f1m)
-
-    @njit(cache=True, fastmath=True)
-    def _divform_apply_3d(a, u, inv_t, out):
-        n0, n1, n2 = u.shape
-        for x0 in range(n0):
-            for x1 in range(n1):
-                for x2 in range(n2):
-                    out[x0, x1, x2] = inv_t * u[x0, x1, x2]
-        # accumulate -div(a grad u) one divergence axis at a time
-        for i in range(3):
-            for x0 in range(n0):
-                x0p = x0 + 1 if x0 + 1 < n0 else 0
-                for x1 in range(n1):
-                    x1p = x1 + 1 if x1 + 1 < n1 else 0
-                    for x2 in range(n2):
-                        x2p = x2 + 1 if x2 + 1 < n2 else 0
-                        t0 = u[x0p, x1, x2] - u[x0, x1, x2]
-                        t1 = u[x0, x1p, x2] - u[x0, x1, x2]
-                        t2 = u[x0, x1, x2p] - u[x0, x1, x2]
-                        fi = (a[i, 0, x0, x1, x2] * t0
-                              + a[i, 1, x0, x1, x2] * t1
-                              + a[i, 2, x0, x1, x2] * t2)
-                        out[x0, x1, x2] -= fi
-                        if i == 0:
-                            out[x0p, x1, x2] += fi
-                        elif i == 1:
-                            out[x0, x1p, x2] += fi
-                        else:
-                            out[x0, x1, x2p] += fi
-
-    @njit(cache=True, fastmath=True, parallel=True)
-    def _interaction_sums_numba(corners, sides, gamma, idx):
-        m, d = corners.shape
-        mo = idx.shape[0]
-        sums = np.zeros(mo)
-        for ii in prange(mo):
-            i = idx[ii]
-            acc = 0.0
-            for j in range(m):
-                d2 = 0.0
-                for k in range(d):
-                    lo_i = corners[i, k]
-                    hi_i = lo_i + sides[i]
-                    lo_j = corners[j, k]
-                    hi_j = lo_j + sides[j]
-                    gap = lo_j - hi_i
-                    if lo_i - hi_j > gap:
-                        gap = lo_i - hi_j
-                    if gap > 0.0:
-                        d2 += gap * gap
-                acc += (1.0 + np.sqrt(d2)) ** (-gamma)
-            sums[ii] = acc
-        return sums
-
-
-def divform_apply(a, u, inv_t=0.0):
-    """Apply the heterogeneous divergence-form operator on the torus."""
-    if USE_NUMBA and u.ndim in (2, 3):
-        out = np.empty_like(u)
-        if u.ndim == 2:
-            _divform_apply_2d(a, u, inv_t, out)
-        else:
-            _divform_apply_3d(a, u, inv_t, out)
-        return out
-    return divform_apply_numpy(a, u, inv_t)
-
-
 # batch of surviving cells summed exactly between two checks of the bound
 _BATCH = 8
 
@@ -288,18 +186,17 @@ def pair_interaction_sup(corners, sides, gamma, outer=None):
     is no larger than the largest full sum found; no cell that is skipped can
     exceed it, so the result equals ``pair_interaction_sup_numpy``.  The
     bounds are widened by a relative 1e-9 so that the rounding of the two
-    summation orders cannot prune a maximizer.  ``HOMLAB_NUMBA`` selects only
-    how the full sums of the surviving cells are computed.
+    summation orders cannot prune a maximizer.
     """
-    corners = np.ascontiguousarray(corners, dtype=np.float64)
-    sides = np.ascontiguousarray(sides, dtype=np.float64)
+    corners = np.asarray(corners, dtype=np.float64)
+    sides = np.asarray(sides, dtype=np.float64)
     gamma = float(gamma)
     if gamma < 0.0:
         raise ValueError(f"gamma = {gamma} < 0: the kernel must not increase")
     if outer is None:
         outer = np.arange(corners.shape[0], dtype=np.int64)
     else:
-        outer = np.ascontiguousarray(outer, dtype=np.int64)
+        outer = np.asarray(outer, dtype=np.int64)
     if outer.size == 0:
         return 0.0
     bounds = _interaction_bounds(corners, sides, gamma, outer) * (1.0 + 1e-9)
@@ -309,10 +206,7 @@ def pair_interaction_sup(corners, sides, gamma, outer=None):
     for k in range(0, outer.size, _BATCH):
         if bounds[k] <= best:
             break
-        idx = outer[k:k + _BATCH]
-        if USE_NUMBA:
-            sums = _interaction_sums_numba(corners, sides, gamma, idx)
-        else:
-            sums = _interaction_sums_numpy(corners, sides, gamma, idx)
+        sums = _interaction_sums_numpy(corners, sides, gamma,
+                                       outer[k:k + _BATCH])
         best = max(best, float(np.max(sums)))
     return best

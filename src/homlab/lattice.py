@@ -9,6 +9,7 @@ exactly symmetric for symmetric coefficients.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fftfreq, irfftn, rfftfreq, rfftn
 
 __all__ = [
     "GridSpec",
@@ -16,6 +17,7 @@ __all__ = [
     "grad",
     "div",
     "laplacian_symbol",
+    "spectral_solve",
     "poisson_solve",
     "ball_mask",
     "ball_average",
@@ -95,7 +97,7 @@ def laplacian_symbol(shape, rfft=False):
     d = len(shape)
     sym = np.zeros(shape[:-1] + ((shape[-1] // 2 + 1) if rfft else shape[-1],))
     for j, n in enumerate(shape):
-        freq = np.fft.rfftfreq(n) if (rfft and j == d - 1) else np.fft.fftfreq(n)
+        freq = rfftfreq(n) if (rfft and j == d - 1) else fftfreq(n)
         s = (2.0 * np.sin(np.pi * freq)) ** 2
         sh = [1] * d
         sh[j] = s.size
@@ -103,15 +105,25 @@ def laplacian_symbol(shape, rfft=False):
     return sym
 
 
+def spectral_solve(rhs, sym):
+    """irfftn(rfftn(rhs) / sym) over the trailing axes, batched over any
+    leading axes of ``rhs``.  ``sym`` is a real or complex symbol on the
+    rfft half spectrum of the grid, whose dimension is ``sym.ndim``.  A zero
+    ``sym`` at k = 0 projects out the mean: the result then has zero mean."""
+    d = sym.ndim
+    axes = tuple(range(-d, 0))
+    uhat = rfftn(rhs, axes=axes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uhat /= sym
+    zero = (0,) * d
+    if sym[zero] == 0.0:
+        uhat[(Ellipsis,) + zero] = 0.0
+    return irfftn(uhat, s=rhs.shape[-d:], axes=axes, overwrite_x=True)
+
+
 def poisson_solve(rhs):
     """Zero-mean u with -div(grad u) = rhs - mean(rhs), spectrally exact."""
-    shape = rhs.shape
-    sym = laplacian_symbol(shape, rfft=True)
-    rhat = np.fft.rfftn(rhs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uhat = rhat / sym
-    uhat[(0,) * rhs.ndim] = 0.0
-    return np.fft.irfftn(uhat, s=shape, axes=range(rhs.ndim))
+    return spectral_solve(rhs, laplacian_symbol(rhs.shape, rfft=True))
 
 
 def _offsets(n, center):
@@ -173,7 +185,7 @@ def _ball_kernel_hat(grid: GridSpec, radius):
     mask = (periodic_dist_sq(grid, (0.0,) * grid.d) <= radius**2)
     kern = mask.astype(np.float64)
     kern /= kern.sum()
-    return np.fft.rfftn(kern)
+    return rfftn(kern)
 
 
 def mean_ball_variance(comps, radii, grid: GridSpec):
@@ -183,7 +195,7 @@ def mean_ball_variance(comps, radii, grid: GridSpec):
     power = sq = 0.0
     for comp in comps:
         sq += float(np.vdot(comp, comp))
-        power += np.abs(np.fft.rfftn(comp)) ** 2
+        power += np.abs(rfftn(comp)) ** 2
     # the half spectrum stands for +-k_last, except at k_last = 0, n/2
     power[..., 1:-1] *= 2.0
     cells = float(grid.n**grid.d)
@@ -202,9 +214,8 @@ def ball_mean_field(u, radius, grid: GridSpec):
         raise ValueError("mollification scale exceeds L/4")
     axes = tuple(range(-grid.d, 0))
     flat = u.reshape((-1,) + grid.shape)
-    out = np.fft.irfftn(np.fft.rfftn(flat, axes=axes)
-                        * _ball_kernel_hat(grid, radius), s=grid.shape,
-                        axes=axes)
+    out = irfftn(rfftn(flat, axes=axes) * _ball_kernel_hat(grid, radius),
+                 s=grid.shape, axes=axes)
     return out.reshape(u.shape)
 
 

@@ -78,6 +78,7 @@ class TestExitCodes:
         ("fd_step = 0\n", ["sensitivity-check"]),
         ("region = 4.5\ngamma = 1.0\nbeta = 0\n", ["partition-check"]),
         ("region = 4.5\ngamma = 1.5\n", ["partition-check"]),
+        ("region = 4.5\nbeta = -0.5\n", ["partition-check"]),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, text, command):
         cfg = _write(tmp_path, text)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from homlab import diagnostics, ensemble
+from homlab import diagnostics, ensemble, kernels
 from homlab.elliptic import SolveReport
 from homlab.ensemble import (ExperimentPlan, bootstrap_slope, fit_linear,
                              fit_power_law, fit_tail, records_to_csv,
@@ -100,6 +100,24 @@ class TestTailFit:
     def test_too_few_rejected(self):
         with pytest.raises(ValueError):
             fit_tail(np.arange(8, dtype=float), 2.0)
+
+
+class TestConstantCoefficientSolve:
+    @pytest.mark.parametrize("a_hom", [
+        np.array([[1.0, 0.3], [-0.1, 0.8]]),
+        np.array([[1.0, 0.3, 0.0], [-0.1, 0.8, 0.2], [0.1, -0.2, 1.2]])])
+    def test_inverts_the_stencil(self, a_hom):
+        # the stencil with the constant field a_hom is an independent
+        # construction of the operator whose symbol the solve divides by
+        d = a_hom.shape[0]
+        shape = (16,) * d
+        f = np.random.default_rng(d).standard_normal(shape) + 0.5
+        u = ensemble._constant_coefficient_solve(a_hom, f)
+        field = np.broadcast_to(a_hom.reshape((d, d) + (1,) * d),
+                                (d, d) + shape)
+        assert abs(u.mean()) < 1e-12
+        assert np.max(np.abs(kernels.divform_apply(field, u)
+                             - (f - f.mean()))) < 1e-12
 
 
 class TestRunEnsemble:

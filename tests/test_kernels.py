@@ -4,9 +4,6 @@ import pytest
 from homlab import kernels
 from homlab.partition import build_partition, interaction_sum
 
-needs_numba = pytest.mark.skipif(not kernels.USE_NUMBA,
-                                 reason="numba path disabled")
-
 
 def _coeffs(d, n, seed=0, symmetric=True):
     rng = np.random.default_rng(seed)
@@ -17,39 +14,21 @@ def _coeffs(d, n, seed=0, symmetric=True):
 
 
 class TestDivformParity:
-    @needs_numba
-    @pytest.mark.parametrize("d,n", [(2, 16), (3, 8)])
-    @pytest.mark.parametrize("inv_t", [0.0, 0.25])
-    def test_matches_numpy(self, d, n, inv_t):
-        a = _coeffs(d, n, seed=d, symmetric=False)
-        u = np.random.default_rng(1).standard_normal((n,) * d)
-        want = kernels.divform_apply_numpy(a, u, inv_t)
-        got = kernels.divform_apply(np.ascontiguousarray(a), u, inv_t)
-        assert np.allclose(got, want, atol=1e-12)
-
     def test_symmetric_operator(self):
         a = _coeffs(2, 12, seed=5)
         rng = np.random.default_rng(2)
         u, v = rng.standard_normal((2, 12, 12))
-        lhs = np.sum(v * kernels.divform_apply_numpy(a, u, 0.0))
-        rhs = np.sum(u * kernels.divform_apply_numpy(a, v, 0.0))
+        lhs = np.sum(v * kernels.divform_apply(a, u, 0.0))
+        rhs = np.sum(u * kernels.divform_apply(a, v, 0.0))
         assert np.isclose(lhs, rhs)
 
     def test_positive_semidefinite(self):
         a = _coeffs(2, 12, seed=6)
         u = np.random.default_rng(3).standard_normal((12, 12))
-        assert np.sum(u * kernels.divform_apply_numpy(a, u, 0.0)) >= 0.0
+        assert np.sum(u * kernels.divform_apply(a, u, 0.0)) >= 0.0
 
 
 class TestInteractionParity:
-    @needs_numba
-    def test_matches_numpy(self):
-        part = build_partition(4.5, 0.3, 2)
-        v_np = kernels.pair_interaction_sup_numpy(part.corners, part.sides,
-                                                  2.5)
-        v_nb = kernels.pair_interaction_sup(part.corners, part.sides, 2.5)
-        assert np.isclose(v_np, v_nb, rtol=1e-12)
-
     def test_touching_boxes_distance_zero(self):
         corners = np.array([[0.0, 0.0], [1.0, 0.0]])
         sides = np.array([1.0, 1.0])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from homlab.lattice import (Ball, GridSpec, ball_average, ball_mask,
                             ball_mean_field, bgrad, box_mollify, div, grad,
                             laplacian_symbol, load_field, periodic_dist_sq,
-                            poisson_solve, save_field)
+                            poisson_solve, save_field, spectral_solve)
 
 
 def _rng(seed=0):
@@ -71,6 +71,31 @@ class TestPoisson:
     def test_mean_projected(self):
         rhs = np.ones((16, 16))
         assert np.allclose(poisson_solve(rhs), 0.0, atol=1e-12)
+
+
+class TestSpectralSolve:
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (2, 8, 8, 8)])
+    def test_stacked_equals_per_component(self, shape):
+        rhs = _rng(4).standard_normal(shape)
+        sym = laplacian_symbol(shape[1:], rfft=True)
+        got = spectral_solve(rhs, sym)
+        assert np.array_equal(got, np.stack([spectral_solve(r, sym)
+                                             for r in rhs]))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_symbol_projects_mean(self, d):
+        rhs = _rng(5).standard_normal((16,) * d) + 0.7
+        u = spectral_solve(rhs, laplacian_symbol(rhs.shape, rfft=True))
+        assert abs(u.mean()) < 1e-12
+        assert np.max(np.abs(-div(grad(u)) - (rhs - rhs.mean()))) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_massive_symbol(self, d):
+        inv_t = 1.0 / 8.0
+        rhs = _rng(6).standard_normal((16,) * d) + 0.7
+        u = spectral_solve(rhs, inv_t + laplacian_symbol(rhs.shape,
+                                                         rfft=True))
+        assert np.max(np.abs(inv_t * u - div(grad(u)) - rhs)) < 1e-12
 
 
 class TestBalls:
