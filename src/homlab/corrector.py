@@ -17,8 +17,7 @@ import numpy as np
 
 from .elliptic import SolveOptions, SolveReport, solve_divform
 from .lattice import (Ball, GridSpec, ball_average, box_mollify, div, grad,
-                      laplacian_symbol, load_field, poisson_solve, save_field,
-                      spectral_solve)
+                      load_field, poisson_solve, save_field)
 from .randomfield import CoefficientField
 
 __all__ = [
@@ -109,15 +108,16 @@ class ModifiedCorrectorSet:
 
 
 def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
-                      directions=None):
+                      directions=None, inv_t=0.0):
     """phi_i for the requested directions (all by default), stacked in
-    the order requested: shape (len(directions),) + grid."""
+    the order requested: shape (len(directions),) + grid; with the massive
+    term inv_t phi_i for inv_t > 0."""
     directions = range(a.grid.d) if directions is None else directions
     phi = np.empty((len(directions),) + a.grid.shape)
     reports = []
     for row, i in enumerate(directions):
         g = a.a[:, i]  # a e_i as a vector field
-        u, rep = solve_divform(a, g, 0.0, opts)
+        u, rep = solve_divform(a, g, inv_t, opts)
         if not rep.converged:
             raise RuntimeError(
                 f"corrector solve for direction {i} did not converge "
@@ -164,16 +164,16 @@ def compute_flux_and_ahom(a: CoefficientField, phi):
     return q, tensor
 
 
-def compute_sigma(q):
-    """sigma_ijk solving -lap sigma_ijk = d_j q_ik - d_k q_ij with forward
-    differences on the right; spectrally exact, zero mean."""
+def compute_sigma(q, inv_t=0.0):
+    """sigma_ijk solving inv_t sigma_ijk - lap sigma_ijk = d_j q_ik - d_k q_ij
+    with forward differences on the right; spectrally exact, zero mean."""
     d = q.shape[0]
     shape = q.shape[2:]
     pairs = _pairs(d)
     vals = np.zeros((d, len(pairs)) + shape)
     for i in range(d):
         for p, (j, k) in enumerate(pairs):
-            vals[i, p] = poisson_solve(_curl(q[i], j, k))
+            vals[i, p] = poisson_solve(_curl(q[i], j, k), inv_t)
     return SkewField(vals, d)
 
 
@@ -192,24 +192,9 @@ def compute_modified(a: CoefficientField, T, opts: SolveOptions = None):
     if T < 1.0:
         raise ValueError("cut-off T must be >= 1")
     grid = a.grid
-    d = grid.d
-    phi_T = np.zeros((d,) + grid.shape)
-    q_T = np.zeros((d, d) + grid.shape)
-    reports = []
-    for i in range(d):
-        u, rep = solve_divform(a, a.a[:, i], 1.0 / T, opts)
-        if not rep.converged:
-            raise RuntimeError(f"modified corrector solve failed: {rep}")
-        phi_T[i] = u
-        q_T[i] = _flux(a, u, i)[0]
-        reports.append(rep)
-    pairs = _pairs(d)
-    vals = np.zeros((d, len(pairs)) + grid.shape)
-    sym = 1.0 / T + laplacian_symbol(grid.shape, rfft=True)
-    for i in range(d):
-        for p, (j, k) in enumerate(pairs):
-            vals[i, p] = spectral_solve(_curl(q_T[i], j, k), sym)
-    sigma_T = SkewField(vals, d)
+    phi_T, reports = compute_corrector(a, opts, inv_t=1.0 / T)
+    q_T = np.stack([_flux(a, phi_T[i], i)[0] for i in range(grid.d)])
+    sigma_T = compute_sigma(q_T, 1.0 / T)
     scale = min(np.sqrt(T), grid.n / 4)
     q_moll = box_mollify(q_T, scale, grid)
     return ModifiedCorrectorSet(grid, float(T), phi_T, q_T, sigma_T,

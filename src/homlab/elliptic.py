@@ -1,11 +1,12 @@
 """Iterative solvers for the heterogeneous divergence-form operator on the
 torus (with optional massive term) and Dirichlet problems on discrete balls.
 
-Symmetric coefficients get preconditioned conjugate gradients, non-symmetric
-ones BiCGStab.  The preconditioner inverts ``c0 (-lap)``, c0 the mean
-diagonal: by FFT on the torus, by DST-I on the cropped box where a
-Dirichlet-ball problem is solved.  Residuals are always recomputed from
-scratch on the torus; iterations are the Krylov steps completed.
+Both go through one Krylov dispatch: scipy's CG for symmetric coefficients,
+its BiCGStab for non-symmetric ones.  The preconditioner inverts
+``c0 (-lap)``, c0 the mean diagonal: by FFT on the torus, by DST-I on the
+cropped box where a Dirichlet-ball problem is solved.  Residuals are always
+recomputed from scratch on the torus; iterations are the Krylov steps
+completed.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dstn, idstn, next_fast_len
-from scipy.sparse.linalg import LinearOperator, bicgstab
+from scipy.sparse.linalg import LinearOperator, bicgstab, cg
 
 from . import kernels
 from .lattice import (Ball, GridSpec, ball_mask, div, laplacian_symbol,
@@ -64,50 +65,26 @@ def _spectral_inverse(field: CoefficientField, inv_t):
     return lambda r: spectral_solve(r, sym)
 
 
-def _pcg(matvec, b, precond, tol, max_iter):
-    """Preconditioned conjugate gradients; returns (x, iterations)."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = float(np.vdot(r, z).real)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return x, 0
-    it = 0
-    while it < max_iter:
-        ap = matvec(p)
-        alpha = rz / float(np.vdot(p, ap).real)
-        x += alpha * p
-        r -= alpha * ap
-        it += 1
-        if np.linalg.norm(r) <= tol * bnorm:
-            break
-        z = precond(r)
-        rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, it
-
-
-def _bicgstab(matvec, b, precond, tol, max_iter):
-    """scipy's preconditioned BiCGStab on grid-shaped arrays; returns
-    (x, iterations), counting the steps scipy completes through its
-    per-iteration callback.  A breakdown is not an error here: the caller's
-    recomputed residual decides convergence."""
+def _krylov(field: CoefficientField, matvec, b, make_precond,
+            opts: SolveOptions):
+    """scipy's CG for symmetric coefficients, BiCGStab otherwise, on
+    grid-shaped arrays, preconditioned by ``make_precond()`` unless
+    ``opts.preconditioner`` is "none".  Returns (x, steps completed); a
+    breakdown is not an error, the caller's recomputed residual decides."""
     shape, size = b.shape, b.size
-    op = LinearOperator((size, size), dtype=np.float64,
-                        matvec=lambda v: matvec(v.reshape(shape)).ravel())
-    pre = LinearOperator((size, size), dtype=np.float64,
-                         matvec=lambda v: precond(v.reshape(shape)).ravel())
-    steps = [0]
 
-    def count(xk):
-        steps[0] += 1
+    def operator(f):
+        return LinearOperator((size, size), dtype=np.float64,
+                              matvec=lambda v: f(v.reshape(shape)).ravel())
 
-    vec, _ = bicgstab(op, b.ravel(), rtol=tol, atol=0.0, maxiter=max_iter,
-                      M=pre, callback=count)
-    return vec.reshape(shape), steps[0]
+    pre = (operator(make_precond())
+           if opts.preconditioner == "spectral" else None)
+    steps = []  # one entry per step, appended by scipy's callback
+    solver = cg if field.is_symmetric() else bicgstab
+    vec, _ = solver(operator(matvec), b.ravel(), rtol=0.1 * opts.tol,
+                    atol=0.0, maxiter=opts.max_iter, M=pre,
+                    callback=lambda xk: steps.append(None))
+    return vec.reshape(shape), len(steps)
 
 
 def solve_divform_rhs(field: CoefficientField, rhs, inv_t=0.0,
@@ -126,10 +103,8 @@ def solve_divform_rhs(field: CoefficientField, rhs, inv_t=0.0,
     def matvec(u):
         return kernels.divform_apply(field.a, u, inv_t)
 
-    precond = (_spectral_inverse(field, inv_t)
-               if opts.preconditioner == "spectral" else lambda r: r)
-    solver = _pcg if field.is_symmetric() else _bicgstab
-    u, it = solver(matvec, rhs, precond, 0.1 * opts.tol, opts.max_iter)
+    u, it = _krylov(field, matvec, rhs,
+                    lambda: _spectral_inverse(field, inv_t), opts)
     if inv_t == 0.0:
         u -= u.mean()
     res = float(np.linalg.norm(matvec(u) - rhs)) / bnorm
@@ -192,10 +167,9 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return boundary.copy(), SolveReport(0, 0.0, True)
-    precond = (_dirichlet_inverse(_mean_diagonal(field), inside)
-               if opts.preconditioner == "spectral" else lambda r: r)
-    solver = _pcg if field.is_symmetric() else _bicgstab
-    u_in, it = solver(matvec, rhs, precond, 0.1 * opts.tol, opts.max_iter)
+    u_in, it = _krylov(
+        field, matvec, rhs,
+        lambda: _dirichlet_inverse(_mean_diagonal(field), inside), opts)
     u = boundary.copy()
     u[box] = np.where(inside, u_in, boundary[box])
     full = kernels.divform_apply(field.a, u, 0.0)

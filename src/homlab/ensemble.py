@@ -351,9 +351,12 @@ def fit_tail(samples, exponent):
 
 def bootstrap_slope(pairs, n_boot=1000, seed=0, log=True):
     """Bootstrap confidence interval for the fitted slope (no
-    distributional assumption)."""
+    distributional assumption); raises ValueError unless some resample has
+    2 distinct x, and on nonpositive data under ``log``."""
     rng = np.random.default_rng(seed)
     pairs = np.asarray(pairs, dtype=np.float64)
+    if log and np.any(pairs <= 0):
+        raise ValueError("log-log bootstrap needs positive data")
     m = pairs.shape[0]
     slopes = []
     for _ in range(n_boot):
@@ -364,6 +367,8 @@ def bootstrap_slope(pairs, n_boot=1000, seed=0, log=True):
         x = np.log(sub[:, 0]) if log else sub[:, 0]
         y = np.log(sub[:, 1]) if log else sub[:, 1]
         slopes.append(np.polyfit(x, y, 1)[0])
+    if not slopes:
+        raise ValueError("no resample has 2 distinct x")
     slopes = np.sort(slopes)
     lo = slopes[int(0.025 * len(slopes))]
     hi = slopes[int(0.975 * len(slopes))]

@@ -121,9 +121,10 @@ def spectral_solve(rhs, sym):
     return irfftn(uhat, s=rhs.shape[-d:], axes=axes, overwrite_x=True)
 
 
-def poisson_solve(rhs):
-    """Zero-mean u with -div(grad u) = rhs - mean(rhs), spectrally exact."""
-    return spectral_solve(rhs, laplacian_symbol(rhs.shape, rfft=True))
+def poisson_solve(rhs, inv_t=0.0):
+    """u with inv_t u - div(grad u) = rhs, spectrally exact; for inv_t = 0
+    the zero-mean u with -div(grad u) = rhs - mean(rhs)."""
+    return spectral_solve(rhs, inv_t + laplacian_symbol(rhs.shape, rfft=True))
 
 
 def _offsets(n, center):

@@ -124,16 +124,19 @@ class TestDivform:
         assert rep.converged
         assert abs(u.mean()) < 1e-12
 
-    def test_nonsymmetric_counts_iterations(self):
-        a = _random_field(4, nu=0.2)
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    def test_counts_iterations(self, nu):
+        a = _random_field(4, nu=nu)
+        assert a.is_symmetric() == (nu == 0.0)
         g = np.random.default_rng(4).standard_normal((2,) + GRID.shape)
         opts = SolveOptions(tol=1e-10, max_iter=500)
         _, rep = solve_divform(a, g, 0.0, opts)
         assert rep.converged
         assert 0 < rep.iterations < opts.max_iter
 
-    def test_nonsymmetric_iteration_cap_reported(self):
-        a = _random_field(4, nu=0.2)
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    def test_iteration_cap_reported(self, nu):
+        a = _random_field(4, nu=nu)
         g = np.random.default_rng(4).standard_normal((2,) + GRID.shape)
         _, rep = solve_divform(a, g, 0.0, SolveOptions(tol=1e-10, max_iter=2))
         assert not rep.converged
@@ -158,6 +161,35 @@ class TestDivform:
         assert rep0.converged and rep1.converged
         assert rep0.iterations < rep1.iterations
         assert np.max(np.abs(u0 - u1)) < 1e-8 * np.max(np.abs(u1))
+
+
+class TestDivformReference:
+    """solve_divform_rhs against a sparse direct solve of the assembled
+    operator plus inv_t I; for inv_t = 0 one cell is pinned and the result
+    re-centered to zero mean."""
+
+    @pytest.mark.parametrize("inv_t", [0.0, 1.0 / 8.0])
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 12)])
+    def test_matches_sparse_direct_solve(self, d, n, nu, inv_t):
+        grid = GridSpec(d, n)
+        a = _random_field(12, nu=nu, grid=grid)
+        assert a.is_symmetric() == (nu == 0.0)
+        rhs = np.random.default_rng(12).standard_normal(grid.shape)
+        if inv_t == 0.0:
+            rhs -= rhs.mean()
+        u, rep = solve_divform_rhs(a, rhs, inv_t, OPTS)
+        assert rep.converged
+        k = _assembled_operator(a.a) + inv_t * sp.identity(n**d, format="csr")
+        b = rhs.reshape(-1)
+        if inv_t == 0.0:
+            want = np.zeros(n**d)
+            want[1:] = spsolve(k[1:, 1:].tocsc(), b[1:])
+            want -= want.mean()
+        else:
+            want = spsolve(k.tocsc(), b)
+        assert (np.max(np.abs(u.reshape(-1) - want))
+                <= 1e-8 * np.max(np.abs(want)))
 
 
 class TestDirichletBall:
@@ -193,9 +225,10 @@ class TestDirichletBall:
         res = divform_apply(a.a, u, 0.0)[mask]
         assert np.linalg.norm(res) < 1e-7
 
-    def test_nonsymmetric_counts_iterations(self):
-        a = _random_field(8, nu=0.2)
-        assert not a.is_symmetric()
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    def test_counts_iterations(self, nu):
+        a = _random_field(8, nu=nu)
+        assert a.is_symmetric() == (nu == 0.0)
         ball = Ball((1.0, 4.0), 7.0)
         boundary = np.random.default_rng(8).standard_normal(GRID.shape)
         opts = SolveOptions(tol=1e-10, max_iter=500)

@@ -79,6 +79,22 @@ class TestFits:
         lo, hi = bootstrap_slope(np.column_stack([r, y]))
         assert lo <= -1.0 <= hi
 
+    @pytest.mark.parametrize("pairs, n_boot", [
+        ([[4.0, 1.0], [4.0, 2.0], [4.0, 3.0]], 1000),   # one distinct x
+        ([[4.0, 1.0]], 1000),                            # one pair
+        ([[2.0, 1.0], [4.0, 2.0]], 1),   # the one resample repeats a pair
+    ])
+    def test_bootstrap_needs_two_distinct_x(self, pairs, n_boot):
+        with pytest.raises(ValueError, match="distinct x"):
+            bootstrap_slope(pairs, n_boot=n_boot)
+
+    def test_bootstrap_nonpositive_rejected(self):
+        pairs = [[2.0, 1.0], [4.0, 2.0], [8.0, 3.0], [16.0, -1.0]]
+        with pytest.raises(ValueError, match="positive"):
+            bootstrap_slope(pairs)
+        lo, hi = bootstrap_slope(pairs, log=False)
+        assert np.isfinite(lo) and np.isfinite(hi)
+
 
 class TestTailFit:
     def test_synthetic_stretched_exponential(self):

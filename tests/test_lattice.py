@@ -67,6 +67,10 @@ class TestPoisson:
         u = poisson_solve(rhs)
         assert abs(u.mean()) < 1e-12
         assert np.allclose(-div(grad(u)), rhs, atol=1e-10)
+        # massive: (1/T) u - lap u = rhs for any rhs, mean included
+        rhs = rng.standard_normal((32, 32)) + 1.0
+        u = poisson_solve(rhs, 1.0 / 16.0)
+        assert np.max(np.abs(u / 16.0 - div(grad(u)) - rhs)) < 1e-12
 
     def test_mean_projected(self):
         rhs = np.ones((16, 16))
