@@ -5,10 +5,12 @@ run manifest, even on failure."""
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .corrector import build_corrector_set, save_corrector_set
@@ -24,6 +26,9 @@ from .sensitivity import FunctionalSpec, fd_check, malliavin_derivative
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -293,6 +298,12 @@ def main(argv=None):
         "config": args.config,
         "version": __version__,
         "numpy": np.__version__,
+        "env": {"python": platform.python_version(),
+                "scipy": scipy.__version__,
+                "blas_threads": {v: os.environ.get(v) for v in _THREAD_VARS},
+                "cpu_count": os.cpu_count(),
+                "affinity_cores": len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else None},
         "status": "failed",
         "error": None,
     }
@@ -305,18 +316,14 @@ def main(argv=None):
         manifest["effective_config"] = {
             k: (list(v) if isinstance(v, tuple) else v)
             for k, v in sorted(cfg.items())}
-        if args.command == "sample":
-            result = cmd_sample(cfg, args.out)
-        elif args.command == "corrector":
-            result = cmd_corrector(cfg, args.out)
-        elif args.command == "diagnose":
-            result = cmd_diagnose(cfg, args.out)
-        elif args.command == "experiment":
+        if args.command == "experiment":
             result = cmd_experiment(cfg, args.out, args.kind)
-        elif args.command == "partition-check":
-            result = cmd_partition_check(cfg, args.out)
         else:
-            result = cmd_sensitivity_check(cfg, args.out)
+            result = {"sample": cmd_sample, "corrector": cmd_corrector,
+                      "diagnose": cmd_diagnose,
+                      "partition-check": cmd_partition_check,
+                      "sensitivity-check": cmd_sensitivity_check,
+                      }[args.command](cfg, args.out)
         manifest["status"] = "ok"
         manifest["result_keys"] = sorted(result)
     except ConfigError as exc:

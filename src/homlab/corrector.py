@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import SolveOptions, SolveReport, solve_divform
-from .lattice import (Ball, GridSpec, ball_average, box_mollify, div, grad,
-                      load_field, poisson_solve, save_field)
+from .lattice import (Ball, GridSpec, _pdiff, ball_average, box_mollify, div,
+                      grad, load_field, poisson_solve, save_field)
 from .randomfield import CoefficientField
 
 __all__ = [
@@ -65,15 +65,13 @@ class SkewField:
         """(div sigma_i)_j = sum_k d_k sigma_ijk, backward differences;
         shape (d, d) + grid."""
         d = self.d
-        shape = self.values.shape[2:]
-        out = np.zeros((d, d) + shape)
+        out = np.zeros((d, d) + self.values.shape[2:])
         for i in range(d):
             for j in range(d):
                 for k in range(d):
                     if k == j:
                         continue
-                    comp = self.component(i, j, k)
-                    out[i, j] += comp - np.roll(comp, 1, axis=k)
+                    out[i, j] += _pdiff(self.component(i, j, k), k, False)
         return out
 
 

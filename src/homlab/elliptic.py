@@ -99,9 +99,10 @@ def solve_divform_rhs(field: CoefficientField, rhs, inv_t=0.0,
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return np.zeros(grid.shape), SolveReport(0, 0.0, True)
+    cols = kernels.coupled_columns(field.a)
 
     def matvec(u):
-        return kernels.divform_apply(field.a, u, inv_t)
+        return kernels.divform_apply(field.a, u, inv_t, cols)
 
     u, it = _krylov(field, matvec, rhs,
                     lambda: _spectral_inverse(field, inv_t), opts)
@@ -157,13 +158,15 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
     box = _ball_box(field.grid, ball)
     a = field.a[(slice(None), slice(None)) + box]
     inside = mask[box]
+    cols = kernels.coupled_columns(a)
 
     def matvec(u_masked):
-        out = kernels.divform_apply(a, np.where(inside, u_masked, 0.0), 0.0)
+        out = kernels.divform_apply(a, np.where(inside, u_masked, 0.0), 0.0,
+                                    cols)
         return np.where(inside, out, 0.0)
 
     bc = np.where(inside, 0.0, boundary[box])
-    rhs = np.where(inside, -kernels.divform_apply(a, bc, 0.0), 0.0)
+    rhs = np.where(inside, -kernels.divform_apply(a, bc, 0.0, cols), 0.0)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return boundary.copy(), SolveReport(0, 0.0, True)

@@ -1,39 +1,55 @@
 """Hot numeric kernels: operator application and partition interaction sums.
 
 ``divform_apply`` is the periodic stencil of ``inv_t - div(a grad .)`` in
-numpy.  ``pair_interaction_sup`` prunes: a tile hierarchy bounds every
-cell's interaction sum from above, and only the few cells whose bound beats
-the best full sum so far are summed in full.  The brute-force
+numpy, by slice differences, over the blocks ``coupled_columns`` finds
+nonzero (d of d*d for ``sym(x) Id``); ``elliptic`` computes that pattern
+once per solve.  ``pair_interaction_sup`` prunes: a tile hierarchy bounds
+every cell's interaction sum from above, and only the few cells whose bound
+beats the best full sum so far are summed in full.  The brute-force
 ``pair_interaction_sup_numpy`` is its correctness reference.
 """
 
 import numpy as np
 
+from .lattice import _pdiff
+
 # read by the benchmark's environment fingerprint; there is no compiled path
 USE_NUMBA = False
 
 __all__ = [
+    "coupled_columns",
     "divform_apply",
     "pair_interaction_sup",
     "pair_interaction_sup_numpy",
 ]
 
 
-def divform_apply(a, u, inv_t=0.0):
+def coupled_columns(a):
+    """Per row i, the columns j with i == j or a[i, j] nonzero somewhere:
+    the blocks ``divform_apply`` has to multiply."""
+    d = a.shape[0]
+    return tuple(tuple(j for j in range(d) if i == j or np.any(a[i, j]))
+                 for i in range(d))
+
+
+def divform_apply(a, u, inv_t=0.0, cols=None):
     """inv_t*u - div(a grad u) on the torus, with forward-difference grad
     and backward div.
 
     a has shape (d, d) + grid, u has shape grid; coefficients are applied
-    cellwise to the forward-difference gradient.
+    cellwise to the forward-difference gradient.  Row i sums the columns
+    ``cols[i]`` (default ``coupled_columns(a)``) only: the rest are zero.
     """
     d = a.shape[0]
-    t = [np.roll(u, -1, axis=j) - u for j in range(d)]
+    cols = coupled_columns(a) if cols is None else cols
     out = inv_t * u if inv_t != 0.0 else np.zeros_like(u)
+    f, prod, df = np.empty_like(out), np.empty_like(out), np.empty_like(out)
     for i in range(d):
-        f = a[i, 0] * t[0]
-        for j in range(1, d):
-            f += a[i, j] * t[j]
-        out -= f - np.roll(f, 1, axis=i)
+        j0 = cols[i][0]
+        np.multiply(a[i, j0], _pdiff(u, j0, True, f), out=f)
+        for j in cols[i][1:]:
+            f += np.multiply(a[i, j], _pdiff(u, j, True, prod), out=prod)
+        out -= _pdiff(f, i, False, df)
     return out
 
 

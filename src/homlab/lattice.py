@@ -71,24 +71,31 @@ class Ball:
             raise ValueError("empty ball: radius below half a cell")
 
 
+def _pdiff(u, axis, forward=True, out=None):
+    """u(x + e) - u(x) along ``axis`` if ``forward``, else u(x) - u(x - e),
+    periodic, by slices into ``out`` (fresh when None; never ``u``)."""
+    out = np.empty_like(u) if out is None else out
+    v, w = np.swapaxes(u, 0, axis), np.swapaxes(out, 0, axis)
+    np.subtract(v[1:], v[:-1], out=w[:-1] if forward else w[1:])
+    np.subtract(v[:1], v[-1:], out=w[-1:] if forward else w[:1])
+    return out
+
+
 def grad(u):
     """Forward-difference gradient with periodic wrap, shape (d,) + grid."""
-    d = u.ndim
-    return np.stack([np.roll(u, -1, axis=j) - u for j in range(d)])
+    return np.stack([_pdiff(u, j) for j in range(u.ndim)])
 
 
 def bgrad(u):
     """Backward-difference gradient, shape (d,) + grid."""
-    d = u.ndim
-    return np.stack([u - np.roll(u, 1, axis=j) for j in range(d)])
+    return np.stack([_pdiff(u, j, False) for j in range(u.ndim)])
 
 
 def div(f):
     """Backward-difference divergence; exact negative adjoint of grad."""
-    d = f.shape[0]
-    out = f[0] - np.roll(f[0], 1, axis=0)
-    for j in range(1, d):
-        out += f[j] - np.roll(f[j], 1, axis=j)
+    out = _pdiff(f[0], 0, False)
+    for j in range(1, f.shape[0]):
+        out += _pdiff(f[j], j, False)
     return out
 
 

@@ -108,6 +108,32 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == "power-law fit needs positive data"
 
+    @pytest.mark.parametrize("text, code", [
+        ("grid = 16\nrealizations = 2\n", 0), ("bogus = 1\n", 2)])
+    def test_manifest_records_env(self, tmp_path, monkeypatch, text, code):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "out"
+        assert main(["--config", _write(tmp_path, text), "--out", str(out),
+                     "sample"]) == code
+        env = json.loads((out / "manifest.json").read_text())["env"]
+        assert env["python"].count(".") == 2 and env["scipy"]
+        assert set(env["blas_threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"}
+        assert env["blas_threads"]["OMP_NUM_THREADS"] == "1"
+        assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert env["cpu_count"] == os.cpu_count()
+        assert 1 <= env["affinity_cores"] <= env["cpu_count"]
+
+    def test_manifest_env_without_affinity_call(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        out = tmp_path / "out"
+        assert main(["--config", _write(tmp_path, "bogus = 1\n"), "--out",
+                     str(out), "sample"]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["env"]["affinity_cores"] is None
+
     def test_ok_manifest(self, tmp_path):
         cfg = _write(tmp_path, "grid = 16\nrealizations = 2\n")
         out = tmp_path / "out"

@@ -10,6 +10,7 @@ from homlab.randomfield import (CoefficientField, CoefficientModel,
                                 CovarianceSpec, SeedSpec,
                                 constant_coefficients, sample_gaussian,
                                 to_coefficients)
+from stencil import assembled_operator
 
 GRID = GridSpec(2, 32)
 OPTS = SolveOptions(tol=1e-11)
@@ -20,32 +21,6 @@ def _random_field(seed=0, nu=0.0, grid=GRID):
     g1 = sample_gaussian(spec, grid, SeedSpec(seed, 0))
     g2 = sample_gaussian(spec, grid, SeedSpec(seed, 0, salt=1)) if nu else None
     return to_coefficients(g1, CoefficientModel(0.25, nu), g2, grid)
-
-
-def _assembled_operator(a):
-    """-div(a grad .) on the torus as a CSR matrix, from the stencil
-
-        (Au)(x) = -sum_ij [a_ij(x) (u(x+e_j) - u(x))
-                           - a_ij(x-e_i) (u(x-e_i+e_j) - u(x-e_i))]
-
-    with cells numbered row-major."""
-    d, shape = a.shape[0], a.shape[2:]
-    x = np.indices(shape).reshape(d, -1)
-    e = np.eye(d, dtype=int)[:, :, None]
-    rows, cols, vals = [], [], []
-    for i in range(d):
-        for j in range(d):
-            here = a[i, j].reshape(-1)
-            back = a[i, j][tuple((x - e[i]) % np.array(shape)[:, None])]
-            for col, val in ((x + e[j], -here), (x, here),
-                             (x - e[i] + e[j], back), (x - e[i], -back)):
-                rows.append(np.ravel_multi_index(x, shape))
-                cols.append(np.ravel_multi_index(col, shape, mode="wrap"))
-                vals.append(val)
-    n = x.shape[1]
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                 np.concatenate(cols))),
-                         shape=(n, n))
 
 
 def _laminate(vals, n=32):
@@ -180,7 +155,7 @@ class TestDivformReference:
             rhs -= rhs.mean()
         u, rep = solve_divform_rhs(a, rhs, inv_t, OPTS)
         assert rep.converged
-        k = _assembled_operator(a.a) + inv_t * sp.identity(n**d, format="csr")
+        k = assembled_operator(a.a) + inv_t * sp.identity(n**d, format="csr")
         b = rhs.reshape(-1)
         if inv_t == 0.0:
             want = np.zeros(n**d)
@@ -279,7 +254,7 @@ class TestDirichletBallReference:
         assert np.array_equal(u[~ball_mask(grid, ball)],
                               boundary[~ball_mask(grid, ball)])
         inside = ball_mask(grid, ball).reshape(-1)
-        k = _assembled_operator(a.a)
+        k = assembled_operator(a.a)
         g = boundary.reshape(-1)
         want = g.copy()
         want[inside] = spsolve(k[inside][:, inside].tocsc(),

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from homlab import kernels
+from homlab.lattice import GridSpec
 from homlab.partition import build_partition, interaction_sum
+from homlab.randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
+                                sample_gaussian, to_coefficients)
+from stencil import assembled_operator
 
 
 def _coeffs(d, n, seed=0, symmetric=True):
@@ -26,6 +31,120 @@ class TestDivformParity:
         a = _coeffs(2, 12, seed=6)
         u = np.random.default_rng(3).standard_normal((12, 12))
         assert np.sum(u * kernels.divform_apply(a, u, 0.0)) >= 0.0
+
+
+def _divform_roll(a, u, inv_t=0.0):
+    """The stencil as first written, by ``np.roll`` over every block: the
+    reference that ``divform_apply`` must reproduce bit for bit."""
+    d = a.shape[0]
+    t = [np.roll(u, -1, axis=j) - u for j in range(d)]
+    out = inv_t * u if inv_t != 0.0 else np.zeros_like(u)
+    for i in range(d):
+        f = a[i, 0] * t[0]
+        for j in range(1, d):
+            f += a[i, j] * t[j]
+        out -= f - np.roll(f, 1, axis=i)
+    return out
+
+
+def _model_field(d, n, nu, seed=0):
+    """``to_coefficients`` on a sampled Gaussian field: sym(x) Id, plus
+    nu w(x) J on the (0, 1) pair when nu > 0."""
+    grid = GridSpec(d, n)
+    spec = CovarianceSpec(d + 0.5, 0.0)
+    g1 = sample_gaussian(spec, grid, SeedSpec(seed, 0))
+    g2 = sample_gaussian(spec, grid, SeedSpec(seed, 0, salt=1)) if nu else None
+    return to_coefficients(g1, CoefficientModel(0.25, nu), g2, grid).a
+
+
+def _skew_dir(d):
+    da = np.zeros((d, d))
+    da[0, 1], da[1, 0] = 1.0, -1.0
+    return da / np.sqrt(2.0)
+
+
+def _field(kind, d, n=(16, 8)):
+    n = n[d - 2]
+    if kind == "diagonal":
+        return _model_field(d, n, 0.0)
+    if kind == "skew":
+        return _model_field(d, n, 0.2)
+    if kind == "dense":
+        return _coeffs(d, n, seed=d, symmetric=False)
+    if kind == "one_cell":
+        # fd_check's perturbation: one cell gains t J / sqrt 2
+        a = _model_field(d, n, 0.0)
+        a[(Ellipsis,) + (3,) * d] += 1e-4 * _skew_dir(d)
+        return a
+    # a non-cubic crop, like the boxes that Dirichlet-ball solves run on
+    crop = tuple(slice(0, m) for m in (12, 10, 6)[:d])
+    return _model_field(d, 16, 0.2)[(slice(None), slice(None)) + crop]
+
+
+KINDS = ("diagonal", "skew", "dense", "one_cell", "non_cubic")
+
+
+class TestDivformReference:
+    """divform_apply against the ``np.roll`` formula and the assembled
+    sparse operator."""
+
+    @pytest.mark.parametrize("inv_t", [0.0, 1.0 / 8.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_roll_formula(self, d, kind, inv_t):
+        a = _field(kind, d)
+        u = np.random.default_rng(7).standard_normal(a.shape[2:])
+        want = _divform_roll(a, u, inv_t)
+        assert np.array_equal(kernels.divform_apply(a, u, inv_t), want)
+        cols = kernels.coupled_columns(a)
+        assert np.array_equal(kernels.divform_apply(a, u, inv_t, cols), want)
+
+    @pytest.mark.parametrize("inv_t", [0.0, 1.0 / 8.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_assembled_operator(self, d, kind, inv_t):
+        a = _field(kind, d)
+        u = np.random.default_rng(8).standard_normal(a.shape[2:])
+        k = assembled_operator(a) + inv_t * sp.identity(u.size, format="csr")
+        want = k @ u.reshape(-1)
+        got = kernels.divform_apply(a, u, inv_t).reshape(-1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_input_untouched_and_output_fresh(self):
+        a = _field("skew", 2)
+        u = np.random.default_rng(9).standard_normal(a.shape[2:])
+        a0, u0 = a.copy(), u.copy()
+        out1 = kernels.divform_apply(a, u, 0.5)
+        out2 = kernels.divform_apply(a, u, 0.5)
+        assert np.array_equal(a, a0) and np.array_equal(u, u0)
+        assert not np.shares_memory(out1, out2)
+        assert not np.shares_memory(out1, u)
+
+
+class TestCoupledColumns:
+    def test_diagonal_field(self):
+        assert kernels.coupled_columns(_field("diagonal", 3)) == (
+            (0,), (1,), (2,))
+        assert kernels.coupled_columns(_field("diagonal", 2)) == ((0,), (1,))
+
+    def test_skew_field(self):
+        assert kernels.coupled_columns(_field("skew", 2)) == ((0, 1), (0, 1))
+        assert kernels.coupled_columns(_field("skew", 3)) == (
+            (0, 1), (0, 1), (2,))
+
+    def test_dense_field(self):
+        assert kernels.coupled_columns(_field("dense", 3)) == ((0, 1, 2),) * 3
+
+    def test_single_off_diagonal_cell(self):
+        a = _field("diagonal", 3)
+        a[1, 2, 5, 0, 7] = 1e-300
+        assert kernels.coupled_columns(a) == ((0,), (1, 2), (2,))
+        assert kernels.coupled_columns(_field("one_cell", 3)) == (
+            (0, 1), (0, 1), (2,))
+
+    def test_zero_diagonal_kept(self):
+        a = np.zeros((2, 2, 8, 8))
+        assert kernels.coupled_columns(a) == ((0,), (1,))
 
 
 class TestInteractionParity:
