@@ -8,7 +8,7 @@ import numpy as np
 from .corrector import CorrectorSet, extended_components
 from .elliptic import SolveOptions, solve_dirichlet_ball
 from .lattice import (Ball, GridSpec, _offsets, ball_average, ball_mask, grad,
-                      mean_ball_variance)
+                      mean_ball_variance, periodic_dist_sq)
 
 __all__ = [
     "ExcessReport",
@@ -73,27 +73,28 @@ def excess(grad_u, corr: CorrectorSet, ball: Ball, cond_limit=1e10):
     d = grid.d
     gram = np.zeros((d, d))
     b = np.zeros(d)
-    basis = [corr.grad_phi[i].copy() for i in range(d)]
+    mask = ball_mask(grid, ball)
+    gu = grad_u[:, mask]
+    basis = corr.grad_phi[:, :, mask]   # a copy: [i] = e_i + grad phi_i
     for i in range(d):
-        basis[i][i] += 1.0
+        basis[i, i] += 1.0
+    # np.sum over axis 0 adds the components in order; einsum need not
     for i in range(d):
-        b[i] = ball_average(np.einsum("j...,j...->...", grad_u, basis[i]),
-                            ball, grid)
+        b[i] = np.sum(gu * basis[i], axis=0).mean()
         for j in range(i, d):
-            gram[i, j] = gram[j, i] = ball_average(
-                np.einsum("k...,k...->...", basis[i], basis[j]), ball, grid)
+            gram[i, j] = gram[j, i] = np.sum(basis[i] * basis[j],
+                                             axis=0).mean()
     if np.linalg.cond(gram) > cond_limit:
         raise DegenerateGramError(
             f"Gram matrix singular at r = {ball.radius}")
     xi = np.linalg.solve(gram, b)
-    exc = ball_average(np.einsum("j...,j...->...", grad_u, grad_u),
-                       ball, grid) - float(xi @ b)
+    exc = float(np.sum(gu * gu, axis=0).mean()) - float(xi @ b)
     return ExcessReport(ball.radius, max(exc, 0.0), xi, gram)
 
 
-def _centered_variance(comps, ball: Ball, grid: GridSpec):
-    """sum over components of the ball variance at the given center."""
-    inside = comps[:, ball_mask(grid, ball)]
+def _centered_variance(comps, mask):
+    """sum over components of their variance on the cells of ``mask``."""
+    inside = comps[:, mask]
     return float(sum(np.mean(inside**2, axis=1) - np.mean(inside, axis=1)**2))
 
 
@@ -106,10 +107,12 @@ def minimal_radius(corr: CorrectorSet, delta, center=None):
     center = tuple(center) if center is not None else (0.0,) * grid.d
     comps = extended_components(corr.phi, corr.sigma)
     radii = dyadic_radii(grid)
-    vals = np.array([
-        _centered_variance(comps, Ball(center, r), grid) / r**2
-        for r in radii
-    ])
+    d2 = periodic_dist_sq(grid, center)
+    vals = []
+    for r in radii:
+        Ball(center, r).validate(grid)
+        vals.append(_centered_variance(comps, d2 <= r**2) / r**2)
+    vals = np.array(vals)
     ok = vals <= delta
     r_star = np.inf
     # smallest r whose whole dyadic tail satisfies the threshold

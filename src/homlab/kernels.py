@@ -84,10 +84,34 @@ def pair_interaction_sup_numpy(corners, sides, gamma, outer=None):
 
 
 def _box_dist(lo_a, hi_a, lo_b, hi_b):
-    """Distance matrix between boxes [lo_a, hi_a] and boxes [lo_b, hi_b]."""
-    gap = np.maximum(lo_b[None] - hi_a[:, None], lo_a[:, None] - hi_b[None])
-    np.maximum(gap, 0.0, out=gap)
-    return np.sqrt(np.einsum("ijk,ijk->ij", gap, gap))
+    """Distance matrix between boxes [lo_a, hi_a] and boxes [lo_b, hi_b].
+
+    The squared gaps are summed axis by axis on (rows, members) arrays: the
+    even axes, the odd axes, then the two partial sums.  That is the order
+    of numpy's einsum over a short axis, so in 2D and 3D the distances equal
+    those of ``_box_dist_sq_numpy`` bit for bit."""
+    sq = []
+    for k in range(lo_a.shape[1]):
+        gap = np.maximum(lo_b[:, k] - hi_a[:, k, None],
+                         lo_a[:, k, None] - hi_b[:, k])
+        np.maximum(gap, 0.0, out=gap)
+        sq.append(np.square(gap, out=gap))
+    for k in range(2, len(sq)):
+        sq[k % 2] += sq[k]
+    d2 = sq[0] + sq[1] if len(sq) > 1 else sq[0]
+    return np.sqrt(d2, out=d2)
+
+
+def _distinct_rows(rows):
+    """(index of the first occurrence of each distinct row, row -> distinct
+    row id) for a 2D array of integer values; distinct rows are numbered in
+    lexicographic order."""
+    rows = rows.astype(np.int64)
+    rows -= rows.min(axis=0)
+    flat = np.ravel_multi_index(tuple(rows.T), tuple(rows.max(axis=0) + 1))
+    _, first, inverse = np.unique(flat, return_index=True,
+                                  return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def _tile_tree(corners, upper, tile):
@@ -106,8 +130,8 @@ def _tile_tree(corners, upper, tile):
     lo, hi, count = corners, upper, np.ones(len(key), dtype=np.int64)
     keys, levels, counts, los, his = [], [], [], [], []
     while True:
-        key, inv = np.unique(key, axis=0, return_inverse=True)
-        inv = inv.reshape(-1)
+        first, inv = _distinct_rows(key)
+        key = key[first]
         order = np.argsort(inv, kind="stable")
         starts = np.searchsorted(inv[order], np.arange(len(key) + 1))
         lo = np.minimum.reduceat(lo[order], starts[:-1])

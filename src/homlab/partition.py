@@ -95,19 +95,20 @@ def _subdivision_count(side, corner, beta, d):
 def build_partition(half_width, beta, d=2):
     """Split each triadic cube Q into n_Q^d equal subcubes, n_Q the unique
     integer with diam(Q)/n_Q <= (dist(Q)+1)^beta < diam(Q)/(n_Q - 1)."""
+    if d not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3, got {d}")
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must lie in [0, 1)")
     corners, sides, subs = [], [], []
     for corner, side in _triadic_cubes(half_width, d):
         n = _subdivision_count(side, corner, beta, d)
         sub = side / n
-        for idx in np.ndindex(*(n,) * d):
-            corners.append(corner + sub * np.array(idx))
-            sides.append(sub)
-            subs.append(n)
-    return Partition(np.array(corners), np.array(sides),
-                     np.array(subs, dtype=np.int64),
-                     float(beta), float(half_width), d)
+        # the n^d sub-cells in row-major (np.ndindex) order
+        corners.append(corner + sub * np.indices((n,) * d).reshape(d, -1).T)
+        sides.append(np.full(n**d, sub))
+        subs.append(np.full(n**d, n, dtype=np.int64))
+    return Partition(np.concatenate(corners), np.concatenate(sides),
+                     np.concatenate(subs), float(beta), float(half_width), d)
 
 
 def check_refinement(part: Partition):
@@ -167,24 +168,13 @@ def lattice_partition_labels(grid, beta, center=None):
     side = np.array([3.0**k for k in range(levels)])[level]
     shift = np.floor(pts / side[:, None] + 0.5)
     corner = side[:, None] * (shift - 0.5)
-    first, cube = _distinct_rows(np.column_stack([level, shift]))
+    first, cube = kernels._distinct_rows(np.column_stack([level, shift]))
     n_sub = np.array([_subdivision_count(side[p], corner[p], beta, d)
                       for p in first])[cube]
     sub = side / n_sub
     idx = np.minimum(np.floor((pts - corner) / sub[:, None]),
                      (n_sub - 1)[:, None])
-    first, cell = _distinct_rows(np.column_stack([level, shift, idx]))
+    first, cell = kernels._distinct_rows(np.column_stack([level, shift, idx]))
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
     return rank[cell].reshape(grid.shape)
-
-
-def _distinct_rows(rows):
-    """(index of the first occurrence of each distinct row, row -> distinct
-    row id) for a 2D array of integer values."""
-    rows = rows.astype(np.int64)
-    rows -= rows.min(axis=0)
-    flat = np.ravel_multi_index(tuple(rows.T), tuple(rows.max(axis=0) + 1))
-    _, first, inverse = np.unique(flat, return_index=True,
-                                  return_inverse=True)
-    return first, inverse.reshape(-1)

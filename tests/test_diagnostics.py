@@ -8,7 +8,8 @@ from homlab.diagnostics import (DegenerateGramError, dyadic_radii, excess,
                                 mean_value_ratio, minimal_radius,
                                 regime_reference)
 from homlab.elliptic import SolveOptions
-from homlab.lattice import Ball, GridSpec, ball_mean_field, grad
+from homlab.lattice import (Ball, GridSpec, ball_average, ball_mask,
+                            ball_mean_field, grad)
 from homlab.randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
                                 constant_coefficients, sample_gaussian,
                                 to_coefficients)
@@ -37,6 +38,80 @@ def _growth_by_ball_means(corr, radii):
             total += float(np.mean(m2 - m1**2))
         vals.append(total)
     return np.array(vals)
+
+
+def _excess_reference(grad_u, corr, ball):
+    """(b, gram, excess) by one ``ball_average`` over the torus per entry:
+    the reference for ``excess``, which masks the ball once."""
+    d = corr.grid.d
+    gram, b = np.zeros((d, d)), np.zeros(d)
+    basis = [corr.grad_phi[i].copy() for i in range(d)]
+    for i in range(d):
+        basis[i][i] += 1.0
+    for i in range(d):
+        b[i] = ball_average(np.einsum("j...,j...->...", grad_u, basis[i]),
+                            ball, corr.grid)
+        for j in range(i, d):
+            gram[i, j] = gram[j, i] = ball_average(
+                np.einsum("k...,k...->...", basis[i], basis[j]), ball,
+                corr.grid)
+    xi = np.linalg.solve(gram, b)
+    exc = ball_average(np.einsum("j...,j...->...", grad_u, grad_u), ball,
+                       corr.grid) - float(xi @ b)
+    return b, gram, max(exc, 0.0)
+
+
+def _minimal_radius_values(corr, center):
+    """One ``ball_mask`` per radius: the reference for ``minimal_radius``,
+    which thresholds one distance array."""
+    comps = extended_components(corr.phi, corr.sigma)
+    vals = []
+    for r in dyadic_radii(corr.grid):
+        inside = comps[:, ball_mask(corr.grid, Ball(center, r))]
+        vals.append(float(sum(np.mean(inside**2, axis=1)
+                              - np.mean(inside, axis=1)**2)) / r**2)
+    return np.array(vals)
+
+
+def _corr3d(seed=0):
+    grid = GridSpec(3, 16)
+    g = sample_gaussian(CovarianceSpec(3.5, 0.0), grid, SeedSpec(seed, 0))
+    a = to_coefficients(g, CoefficientModel(0.25, 0.0), None, grid)
+    return a, build_corrector_set(a, OPTS)
+
+
+class TestBallMaskedOnce:
+    """``excess`` and ``minimal_radius`` against today's formulas over the
+    torus, compared with ==."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_excess_matches_ball_averages(self, d):
+        a, corr = _corr(5) if d == 2 else _corr3d(5)
+        grid = corr.grid
+        rng = np.random.default_rng(5)
+        gu = rng.standard_normal((d,) + grid.shape)
+        for center, r in (((0.0,) * d, 4.0), ((3.5,) + (-2.0,) * (d - 1),
+                                                 grid.n / 4)):
+            ball = Ball(center, r)
+            rep = excess(gu, corr, ball)
+            b, gram, exc = _excess_reference(gu, corr, ball)
+            assert np.array_equal(rep.gram, gram)
+            assert np.array_equal(rep.xi, np.linalg.solve(gram, b))
+            assert rep.excess == exc
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_minimal_radius_matches_ball_masks(self, d):
+        a, corr = _corr(6) if d == 2 else _corr3d(6)
+        for center in ((0.0,) * corr.grid.d, (5.5,) + (-3.0,) * (d - 1)):
+            rep = minimal_radius(corr, 0.05, center)
+            assert np.array_equal(rep.values,
+                                  _minimal_radius_values(corr, center))
+
+    def test_excess_validates_ball(self):
+        a, corr = _corr(5)
+        gu = np.zeros((2,) + GRID.shape)
+        with pytest.raises(ValueError, match="L/4"):
+            excess(gu, corr, Ball((0.0, 0.0), 17.0))
 
 
 def test_dyadic_radii():

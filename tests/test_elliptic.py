@@ -3,8 +3,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from homlab import elliptic
 from homlab.elliptic import (SolveOptions, _ball_box, solve_dirichlet_ball,
                              solve_divform, solve_divform_rhs)
+from homlab.kernels import divform_apply
 from homlab.lattice import Ball, GridSpec, ball_mask, div, grad, poisson_solve
 from homlab.randomfield import (CoefficientField, CoefficientModel,
                                 CovarianceSpec, SeedSpec,
@@ -199,6 +201,41 @@ class TestDirichletBall:
         mask = ball_mask(GRID, ball)
         res = divform_apply(a.a, u, 0.0)[mask]
         assert np.linalg.norm(res) < 1e-7
+
+    @pytest.mark.parametrize("d, n, radius, nu, center", [
+        (2, 32, 6.0, 0.0, (2.0, -3.0)),
+        (2, 32, 7.0, 0.2, (30.5, 1.0)),
+        (3, 16, 3.5, 0.2, (14.5, 1.0, 7.25)),
+    ])
+    def test_box_residual_is_the_torus_residual(self, monkeypatch, d, n,
+                                                radius, nu, center):
+        # the residual is taken on the box; it must equal the full-torus
+        # formula, and u must be the Krylov solution placed into the
+        # boundary data, bit for bit
+        grid = GridSpec(d, n)
+        a = _random_field(12, nu=nu, grid=grid)
+        ball = Ball(center, radius)
+        boundary = np.random.default_rng(12).standard_normal(grid.shape)
+        krylov, solved = elliptic._krylov, []
+
+        def spy(*args):
+            solved.append(krylov(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(elliptic, "_krylov", spy)
+        u, rep = solve_dirichlet_ball(a, ball, boundary,
+                                      SolveOptions(tol=1e-6))
+        mask = ball_mask(grid, ball)
+        box = _ball_box(grid, ball)
+        want_u = boundary.copy()
+        want_u[box] = np.where(mask[box], solved[0][0], boundary[box])
+        assert np.array_equal(u, want_u)
+        bc = np.where(mask, 0.0, boundary)
+        bnorm = np.linalg.norm(divform_apply(a.a, bc, 0.0)[mask])
+        full = np.linalg.norm(np.where(mask, divform_apply(a.a, u, 0.0),
+                                       0.0)) / bnorm
+        assert rep.residual > 0.0
+        assert abs(rep.residual - full) <= 1e-14 * full
 
     @pytest.mark.parametrize("nu", [0.0, 0.2])
     def test_counts_iterations(self, nu):

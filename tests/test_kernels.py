@@ -169,6 +169,89 @@ def _scattered_boxes(seed=0):
     return corners[perm], sides[perm]
 
 
+def _box_dist_reference(lo_a, hi_a, lo_b, hi_b):
+    """The (rows, members, d) gap array and its einsum: the reference for
+    the axis-by-axis ``kernels._box_dist``."""
+    gap = np.maximum(lo_b[None] - hi_a[:, None], lo_a[:, None] - hi_b[None])
+    np.maximum(gap, 0.0, out=gap)
+    return np.sqrt(np.einsum("ijk,ijk->ij", gap, gap))
+
+
+def _tile_tree_reference(corners, upper, tile):
+    """``kernels._tile_tree`` with ``np.unique(key, axis=0)`` in place of the
+    flat key codes: the reference for the returned arrays."""
+    centers = 0.5 * (corners + upper)
+    key = np.floor((centers - centers.min(axis=0)) / tile).astype(np.int64)
+    lo, hi, count = corners, upper, np.ones(len(key), dtype=np.int64)
+    keys, levels, counts, los, his = [], [], [], [], []
+    while True:
+        key, inv = np.unique(key, axis=0, return_inverse=True)
+        inv = inv.reshape(-1)
+        order = np.argsort(inv, kind="stable")
+        starts = np.searchsorted(inv[order], np.arange(len(key) + 1))
+        lo = np.minimum.reduceat(lo[order], starts[:-1])
+        hi = np.maximum.reduceat(hi[order], starts[:-1])
+        count = np.add.reduceat(count[order], starts[:-1])
+        if not keys:
+            tile_of, cell_order, cell_starts = inv, order, starts
+        keys.append(key)
+        levels.append(np.full(len(key), len(levels)))
+        counts.append(count)
+        los.append(lo)
+        his.append(hi)
+        if len(key) == 1:
+            break
+        key = key >> 1
+    return (np.concatenate(keys), np.concatenate(levels),
+            np.concatenate(counts).astype(np.float64),
+            np.concatenate(los), np.concatenate(his), tile_of, cell_order,
+            cell_starts)
+
+
+class TestBoundHelperReferences:
+    """The tile tree and the box distances against the formulas they
+    replaced, equal bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_box_dist_matches_einsum(self, d):
+        rng = np.random.default_rng(d)
+        lo = rng.uniform(-5.0, 5.0, (40, d))
+        side = rng.uniform(0.0, 3.0, (40, 1))
+        side[:8] = 0.0                       # zero-side (point) boxes
+        hi = lo + side
+        lo[8:12] = hi[12:16]                 # touching: corner on a corner
+        hi[8:12] = lo[8:12] + 1.0
+        lo[16:20], hi[16:20] = lo[20:24] + 0.1, hi[20:24] + 0.1  # overlap
+        got = kernels._box_dist(lo[:25], hi[:25], lo, hi)
+        want = _box_dist_reference(lo[:25], hi[:25], lo, hi)
+        assert np.array_equal(got, want)
+        for i in range(25):   # and the brute force's distances
+            assert np.array_equal(
+                got[i], np.sqrt(kernels._box_dist_sq_numpy(lo, hi, i)))
+        assert np.all(got[np.arange(25), np.arange(25)] == 0.0)
+        assert np.any(got[8:12, 12:16] == 0.0)
+
+    @pytest.mark.parametrize("boxes", ["partition-2d", "partition-3d",
+                                       "scattered", "point-stacks"])
+    def test_tile_tree_matches_unique_rows(self, boxes):
+        if boxes == "scattered":
+            c, s = _scattered_boxes(seed=3)
+        elif boxes == "point-stacks":
+            c, s = np.zeros((50, 2)), np.zeros(50)
+            c[20:] = [70.0, -30.0]
+        else:
+            d = 2 if boxes == "partition-2d" else 3
+            part = build_partition(40.5 if d == 2 else 13.5, 0.3, d)
+            c, s = part.corners, part.sides
+        upper = c + s[:, None]
+        tile = kernels._TILE_SIDES * float(np.median(s)) or 1.0
+        got = kernels._tile_tree(c, upper, tile)
+        want = _tile_tree_reference(c, upper, tile)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 class TestPrunedInteraction:
     """The pruned ``pair_interaction_sup`` against the brute-force reference
     ``pair_interaction_sup_numpy``."""

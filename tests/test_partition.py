@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from homlab.lattice import GridSpec
-from homlab.partition import (_subdivision_count, build_partition,
-                              check_refinement, interaction_sum,
-                              lattice_partition_labels)
+from homlab.partition import (_subdivision_count, _triadic_cubes,
+                              build_partition, check_refinement,
+                              interaction_sum, lattice_partition_labels)
 
 
 def locate_cell(point, beta, d=None):
@@ -46,6 +46,21 @@ def _labels_reference(grid, beta, center=None):
     return labels
 
 
+def _build_partition_reference(half_width, beta, d):
+    """One ``np.ndindex`` step per cell: the reference for the vectorized
+    ``build_partition``."""
+    corners, sides, subs = [], [], []
+    for corner, side in _triadic_cubes(half_width, d):
+        n = _subdivision_count(side, corner, beta, d)
+        sub = side / n
+        for idx in np.ndindex(*(n,) * d):
+            corners.append(corner + sub * np.array(idx))
+            sides.append(sub)
+            subs.append(n)
+    return (np.array(corners), np.array(sides),
+            np.array(subs, dtype=np.int64))
+
+
 class TestConstruction:
     def test_smallest_region(self):
         # at beta = 0 the central unit cube (diam sqrt(2) > 1) is split
@@ -84,6 +99,22 @@ class TestConstruction:
             build_partition(10.0, 0.0, 2)   # not 3^k/2
         with pytest.raises(ValueError):
             build_partition(4.5, 1.0, 2)    # beta out of range
+
+    @pytest.mark.parametrize("d", [0, 1, 4])
+    def test_dimension_rejected(self, d):
+        with pytest.raises(ValueError, match="dimension"):
+            build_partition(4.5, 0.0, d)
+
+    @pytest.mark.parametrize("d,w,beta", [
+        (2, 0.5, 0.0), (2, 4.5, 0.6), (2, 40.5, 0.0), (2, 121.5, 0.0),
+        (2, 364.5, 0.3), (3, 1.5, 0.0), (3, 13.5, 0.3), (3, 40.5, 0.6)])
+    def test_matches_loop_reference(self, d, w, beta):
+        part = build_partition(w, beta, d)
+        corners, sides, subs = _build_partition_reference(w, beta, d)
+        assert np.array_equal(part.corners, corners)
+        assert np.array_equal(part.sides, sides)
+        assert np.array_equal(part.n_sub, subs)
+        assert part.n_sub.dtype == subs.dtype
 
     def test_growth_with_beta(self):
         part = build_partition(40.5, 0.6, 2)
