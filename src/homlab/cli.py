@@ -216,6 +216,8 @@ def cmd_experiment(cfg, outdir, kind):
 
 def cmd_partition_check(cfg, outdir):
     d = cfg["dimension"]
+    if d not in (2, 3):  # before beta_effective divides by it
+        raise ConfigError(f"dimension must be 2 or 3, got {d}")
     beta = cfg["beta"]
     if beta is None:
         beta = beta_effective(cfg["gamma"], d)

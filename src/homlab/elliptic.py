@@ -2,11 +2,14 @@
 torus (with optional massive term) and Dirichlet problems on discrete balls.
 
 Both go through one Krylov dispatch: scipy's CG for symmetric coefficients,
-its BiCGStab for non-symmetric ones.  The preconditioner inverts
-``c0 (-lap)``, c0 the mean diagonal: by FFT on the torus, by DST-I on the
-cropped box where a Dirichlet-ball problem is solved.  Residuals are always
-recomputed from scratch on the torus; iterations are the Krylov steps
-completed.
+its BiCGStab for non-symmetric ones.  On the torus both use the sandwich
+K^-1 (inv_t/c0^2 - div(b grad .)) K^-1, K = inv_t/c0 - lap by FFT, c0 the
+mean diagonal and b = diag(1/a_ii): symmetric positive definite, and the
+exact inverse for a = c Id and for a laminate's corrector in the layered
+direction.  A Dirichlet-ball problem, solved on its cropped box, is
+preconditioned by the inverse of ``c0 (-lap)`` by DST-I.  Residuals are
+always recomputed from scratch on the torus; iterations are the Krylov
+steps completed.
 """
 
 import math
@@ -58,11 +61,16 @@ def _mean_diagonal(field: CoefficientField):
 
 
 def _spectral_inverse(field: CoefficientField, inv_t):
-    """Inverse of inv_t + c0 (-lap) via FFT, c0 the mean diagonal; for
-    inv_t = 0 the zero mode is projected out."""
-    sym = inv_t + _mean_diagonal(field) * laplacian_symbol(field.grid.shape,
-                                                           rfft=True)
-    return lambda r: spectral_solve(r, sym)
+    """The torus preconditioner of the module docstring; for inv_t = 0 the
+    zero mode is projected out."""
+    d, c0 = field.grid.d, _mean_diagonal(field)
+    sym = inv_t / c0 + laplacian_symbol(field.grid.shape, rfft=True)
+    # b[i, j] broadcasts 1/a_ii; the diagonal columns are the only ones read
+    diag = 1.0 / np.einsum("ii...->i...", field.a)
+    b = np.broadcast_to(diag[:, None], (d,) + diag.shape)
+    cols = tuple((i,) for i in range(d))
+    return lambda r: spectral_solve(kernels.divform_apply(
+        b, spectral_solve(r, sym), inv_t / c0**2, cols), sym)
 
 
 def _krylov(field: CoefficientField, matvec, b, make_precond,

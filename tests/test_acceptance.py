@@ -77,7 +77,7 @@ def test_criterion_02_structural_identities():
     f = rng.standard_normal((2,) + plan.grid().shape)
     adjoint_err = abs(float(np.sum(grad(u) * f))
                       + float(np.sum(u * div(f))))
-    worst_sigma, worst_skew, worst_energy = 0.0, 0.0, 0.0
+    worst_sigma, worst_skew, worst_energy = 0.0, 0.0, -np.inf
     for idx in range(plan.m):
         a = sample_coefficients(plan, idx)
         corr = build_corrector_set(a, opts)

@@ -82,6 +82,7 @@ class TestExitCodes:
         ("dimension = 0\nregion = 4.5\nbeta = 0\n", ["partition-check"]),
         ("dimension = 1\nregion = 4.5\n", ["partition-check"]),
         ("dimension = 4\nregion = 4.5\n", ["partition-check"]),
+        ("dimension = 0\nregion = 4.5\n", ["partition-check"]),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, text, command):
         cfg = _write(tmp_path, text)
