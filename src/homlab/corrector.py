@@ -1,5 +1,4 @@
-"""Correctors, fluxes, the homogenized tensor, flux correctors, and their
-massive-term modifications.
+"""Correctors, fluxes, the homogenized tensor and flux correctors.
 
 For each direction e_i the corrector phi_i is the zero-mean torus solution
 of -div(a (grad phi_i + e_i)) = 0, the flux is
@@ -15,22 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import SolveOptions, SolveReport, solve_divform
-from .lattice import (Ball, GridSpec, _pdiff, ball_average, box_mollify, div,
-                      grad, load_field, poisson_solve, save_field)
+from .elliptic import SolveOptions, solve_divform
+from .lattice import (GridSpec, _pdiff, grad, load_field, poisson_solve,
+                      save_field)
 from .randomfield import CoefficientField
 
 __all__ = [
     "SkewField",
     "CorrectorSet",
-    "ModifiedCorrectorSet",
     "HomogenizedTensor",
     "compute_corrector",
     "compute_flux_and_ahom",
     "compute_sigma",
     "sigma_component",
-    "compute_modified",
-    "compute_F_RT",
     "build_corrector_set",
     "extended_components",
 ]
@@ -94,28 +90,16 @@ class CorrectorSet:
     reports: list = field(default_factory=list)
 
 
-@dataclass
-class ModifiedCorrectorSet:
-    grid: GridSpec
-    T: float
-    phi_T: np.ndarray            # (d,) + grid
-    q_T: np.ndarray              # (d, d) + grid
-    sigma_T: SkewField
-    q_T_moll: np.ndarray         # (d, d) + grid
-    reports: list = field(default_factory=list)
-
-
 def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
-                      directions=None, inv_t=0.0):
+                      directions=None):
     """phi_i for the requested directions (all by default), stacked in
-    the order requested: shape (len(directions),) + grid; with the massive
-    term inv_t phi_i for inv_t > 0."""
+    the order requested: shape (len(directions),) + grid."""
     directions = range(a.grid.d) if directions is None else directions
     phi = np.empty((len(directions),) + a.grid.shape)
     reports = []
     for row, i in enumerate(directions):
         g = a.a[:, i]  # a e_i as a vector field
-        u, rep = solve_divform(a, g, inv_t, opts)
+        u, rep = solve_divform(a, g, opts)
         if not rep.converged:
             raise RuntimeError(
                 f"corrector solve for direction {i} did not converge "
@@ -162,16 +146,16 @@ def compute_flux_and_ahom(a: CoefficientField, phi):
     return q, tensor
 
 
-def compute_sigma(q, inv_t=0.0):
-    """sigma_ijk solving inv_t sigma_ijk - lap sigma_ijk = d_j q_ik - d_k q_ij
-    with forward differences on the right; spectrally exact, zero mean."""
+def compute_sigma(q):
+    """sigma_ijk solving -lap sigma_ijk = d_j q_ik - d_k q_ij with forward
+    differences on the right; spectrally exact, zero mean."""
     d = q.shape[0]
     shape = q.shape[2:]
     pairs = _pairs(d)
     vals = np.zeros((d, len(pairs)) + shape)
     for i in range(d):
         for p, (j, k) in enumerate(pairs):
-            vals[i, p] = poisson_solve(_curl(q[i], j, k), inv_t)
+            vals[i, p] = poisson_solve(_curl(q[i], j, k))
     return SkewField(vals, d)
 
 
@@ -183,22 +167,6 @@ def sigma_component(a: CoefficientField, phi_i, i, j, k):
     return poisson_solve(_curl(flux - mean.reshape((d,) + (1,) * d), j, k))
 
 
-def compute_modified(a: CoefficientField, T, opts: SolveOptions = None):
-    """Massive-term correctors: (1/T) phi_T - div(a(grad phi_T + e)) = 0,
-    q_T = a(grad phi_T + e), (1/T) sigma_T - lap sigma_T = curl q_T
-    (spectrally exact), and the sqrt(T)-scale moving average of q_T."""
-    if T < 1.0:
-        raise ValueError("cut-off T must be >= 1")
-    grid = a.grid
-    phi_T, reports = compute_corrector(a, opts, inv_t=1.0 / T)
-    q_T = np.stack([_flux(a, phi_T[i], i)[0] for i in range(grid.d)])
-    sigma_T = compute_sigma(q_T, 1.0 / T)
-    scale = min(np.sqrt(T), grid.n / 4)
-    q_moll = box_mollify(q_T, scale, grid)
-    return ModifiedCorrectorSet(grid, float(T), phi_T, q_T, sigma_T,
-                                q_moll, reports)
-
-
 def extended_components(phi, sigma: SkewField):
     """Stacked components of the extended corrector (phi, sigma) scaled so
     that the plain sum of squares equals |(phi, sigma)|^2 (each unordered
@@ -206,25 +174,6 @@ def extended_components(phi, sigma: SkewField):
     shape = phi.shape[1:]
     sig = sigma.values.reshape((-1,) + shape) * np.sqrt(2.0)
     return np.concatenate([phi, sig], axis=0)
-
-
-def compute_F_RT(mod: ModifiedCorrectorSet, R, center=None):
-    """Building-block functional: F^2 averages (1/T)|(phi_T, sigma_T)|^2
-    plus the centered square fluctuation of the mollified flux over B_R."""
-    grid = mod.grid
-    if not np.sqrt(mod.T) <= R <= grid.n / 4:
-        raise ValueError("need sqrt(T) <= R <= L/4")
-    center = center or (0.0,) * grid.d
-    ball = Ball(tuple(center), float(R))
-    comps = extended_components(mod.phi_T, mod.sigma_T)
-    sq = ball_average(np.sum(comps**2, axis=0), ball, grid)
-    q = mod.q_T_moll.reshape((-1,) + grid.shape)
-    means = ball_average(q, ball, grid).ravel()
-    fluct = 0.0
-    for comp, mean in zip(q, means):
-        fluct += ball_average((comp - mean) ** 2, ball, grid)
-    f_sq = sq / mod.T + fluct
-    return float(np.sqrt(max(f_sq, 0.0)))
 
 
 def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):

@@ -18,7 +18,6 @@ __all__ = [
     "excess",
     "minimal_radius",
     "excess_decay_experiment",
-    "mean_value_ratio",
     "gradient_average",
     "growth_profile",
     "harmonic_quadratic",
@@ -162,15 +161,6 @@ def excess_decay_experiment(a, corr: CorrectorSet, R, r_list, rng,
     else:
         slope = np.nan
     return rows, float(slope), rep
-
-
-def mean_value_ratio(grad_u, r, R, grid: GridSpec, center=None):
-    """fint_{B_r} |grad u|^2 / fint_{B_R} |grad u|^2."""
-    center = tuple(center) if center is not None else (0.0,) * grid.d
-    e2 = np.einsum("j...,j...->...", grad_u, grad_u)
-    num = ball_average(e2, Ball(center, float(r)), grid)
-    den = ball_average(e2, Ball(center, float(R)), grid)
-    return float(num / den)
 
 
 def gradient_average(field_comp, r, grid: GridSpec, center=None):

@@ -1,15 +1,15 @@
 """Iterative solvers for the heterogeneous divergence-form operator on the
-torus (with optional massive term) and Dirichlet problems on discrete balls.
+torus and Dirichlet problems on discrete balls.
 
 Both go through one Krylov dispatch: scipy's CG for symmetric coefficients,
-its BiCGStab for non-symmetric ones.  On the torus both use the sandwich
-K^-1 (inv_t/c0^2 - div(b grad .)) K^-1, K = inv_t/c0 - lap by FFT, c0 the
-mean diagonal and b = diag(1/a_ii): symmetric positive definite, and the
-exact inverse for a = c Id and for a laminate's corrector in the layered
-direction.  A Dirichlet-ball problem, solved on its cropped box, is
-preconditioned by the inverse of ``c0 (-lap)`` by DST-I.  Residuals are
-always recomputed from scratch on the torus; iterations are the Krylov
-steps completed.
+its BiCGStab for non-symmetric ones.  A torus solve returns the zero-mean
+solution; its preconditioner is the sandwich K^-1 (-div(b grad .)) K^-1,
+K = -lap by FFT and b = diag(1/a_ii): symmetric positive definite on
+mean-zero fields, and the exact inverse for a = c Id and for a laminate's
+corrector in the layered direction.  A Dirichlet-ball problem, solved on
+its cropped box, is preconditioned by the inverse of ``c0 (-lap)`` by
+DST-I, c0 the mean diagonal.  Residuals are always recomputed from scratch
+on the torus; iterations are the Krylov steps completed.
 """
 
 import math
@@ -56,21 +56,21 @@ class SolveReport:
 
 
 def _mean_diagonal(field: CoefficientField):
-    """c0 of the constant-coefficient preconditioners."""
+    """c0 of the ball's DST-I preconditioner."""
     return float(np.mean([field.a[i, i].mean() for i in range(field.grid.d)]))
 
 
-def _spectral_inverse(field: CoefficientField, inv_t):
-    """The torus preconditioner of the module docstring; for inv_t = 0 the
-    zero mode is projected out."""
-    d, c0 = field.grid.d, _mean_diagonal(field)
-    sym = inv_t / c0 + laplacian_symbol(field.grid.shape, rfft=True)
+def _spectral_inverse(field: CoefficientField):
+    """The torus preconditioner of the module docstring; the zero mode is
+    projected out."""
+    d = field.grid.d
+    sym = laplacian_symbol(field.grid.shape, rfft=True)
     # b[i, j] broadcasts 1/a_ii; the diagonal columns are the only ones read
     diag = 1.0 / np.einsum("ii...->i...", field.a)
     b = np.broadcast_to(diag[:, None], (d,) + diag.shape)
     cols = tuple((i,) for i in range(d))
-    return lambda r: spectral_solve(kernels.divform_apply(
-        b, spectral_solve(r, sym), inv_t / c0**2, cols), sym)
+    return lambda r: spectral_solve(
+        kernels.divform_apply(b, spectral_solve(r, sym), cols), sym)
 
 
 def _krylov(field: CoefficientField, matvec, b, make_precond,
@@ -95,35 +95,32 @@ def _krylov(field: CoefficientField, matvec, b, make_precond,
     return vec.reshape(shape), len(steps)
 
 
-def solve_divform_rhs(field: CoefficientField, rhs, inv_t=0.0,
+def solve_divform_rhs(field: CoefficientField, rhs,
                       opts: SolveOptions = None):
-    """u with inv_t*u - div(a grad u) = rhs on the torus; zero-mean gauge
-    for inv_t = 0 (rhs projected onto zero mean then)."""
+    """The zero-mean u with -div(a grad u) = rhs - mean(rhs) on the
+    torus."""
     opts = opts or SolveOptions()
     grid = field.grid
     rhs = np.asarray(rhs, dtype=np.float64)
-    if inv_t == 0.0:
-        rhs = rhs - rhs.mean()
+    rhs = rhs - rhs.mean()
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return np.zeros(grid.shape), SolveReport(0, 0.0, True)
     cols = kernels.coupled_columns(field.a)
 
     def matvec(u):
-        return kernels.divform_apply(field.a, u, inv_t, cols)
+        return kernels.divform_apply(field.a, u, cols)
 
-    u, it = _krylov(field, matvec, rhs,
-                    lambda: _spectral_inverse(field, inv_t), opts)
-    if inv_t == 0.0:
-        u -= u.mean()
+    u, it = _krylov(field, matvec, rhs, lambda: _spectral_inverse(field),
+                    opts)
+    u -= u.mean()
     res = float(np.linalg.norm(matvec(u) - rhs)) / bnorm
     return u, SolveReport(it, res, res <= opts.tol)
 
 
-def solve_divform(field: CoefficientField, g, inv_t=0.0,
-                  opts: SolveOptions = None):
-    """u with inv_t*u - div(a grad u) = div g on the torus."""
-    return solve_divform_rhs(field, div(np.asarray(g)), inv_t, opts)
+def solve_divform(field: CoefficientField, g, opts: SolveOptions = None):
+    """The zero-mean u with -div(a grad u) = div g on the torus."""
+    return solve_divform_rhs(field, div(np.asarray(g)), opts)
 
 
 def _dirichlet_inverse(c0, mask):
@@ -169,12 +166,11 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
     cols = kernels.coupled_columns(a)
 
     def matvec(u_masked):
-        out = kernels.divform_apply(a, np.where(inside, u_masked, 0.0), 0.0,
-                                    cols)
+        out = kernels.divform_apply(a, np.where(inside, u_masked, 0.0), cols)
         return np.where(inside, out, 0.0)
 
     bc = np.where(inside, 0.0, boundary[box])
-    rhs = np.where(inside, -kernels.divform_apply(a, bc, 0.0, cols), 0.0)
+    rhs = np.where(inside, -kernels.divform_apply(a, bc, cols), 0.0)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return boundary.copy(), SolveReport(0, 0.0, True)
@@ -185,7 +181,6 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
     u[box] = np.where(inside, u_in, boundary[box])
     # every ball row's stencil lies in the box (see ``_ball_box``), so the
     # box residual at ball cells is the torus one
-    res_in = np.where(inside, kernels.divform_apply(a, u[box], 0.0, cols),
-                      0.0)
+    res_in = np.where(inside, kernels.divform_apply(a, u[box], cols), 0.0)
     res = float(np.linalg.norm(res_in)) / bnorm
     return u, SolveReport(it, res, res <= opts.tol)

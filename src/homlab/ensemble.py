@@ -8,9 +8,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.fft import fftfreq, rfftfreq
 
-from .corrector import (build_corrector_set, compute_F_RT,
-                        compute_corrector, compute_flux_and_ahom,
-                        compute_modified, extended_components)
+from .corrector import (build_corrector_set, compute_corrector,
+                        extended_components)
 from .diagnostics import (dyadic_radii, excess_decay_experiment,
                           growth_profile, gradient_average, minimal_radius)
 from .elliptic import SolveOptions, solve_divform_rhs
@@ -31,7 +30,7 @@ __all__ = [
     "records_to_csv",
 ]
 
-KINDS = ("scaling", "growth", "tail", "twoscale", "excess", "fblock")
+KINDS = ("scaling", "growth", "tail", "twoscale", "excess")
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def _run_twoscale(plan, index):
             raise RuntimeError("homogenized tensor ill-conditioned")
         phi = corr.phi
         f = _product_sine(grid)
-        u, rep = solve_divform_rhs(a, f, 0.0, opts)
+        u, rep = solve_divform_rhs(a, f, opts)
         if not rep.converged:
             raise RuntimeError(f"heterogeneous solve failed: {rep}")
         u_hom = _constant_coefficient_solve(corr.a_hom, f)
@@ -208,22 +207,12 @@ def _run_excess(plan, index):
     return vals
 
 
-def _run_fblock(plan, index):
-    a = sample_coefficients(plan, index)
-    vals = {}
-    for r in plan.effective_radii():
-        mod = compute_modified(a, max(r, 1.0), plan.opts())
-        vals[f"F2_r{r:g}"] = compute_F_RT(mod, r) ** 2
-    return vals
-
-
 _RUNNERS = {
     "scaling": _run_scaling,
     "growth": _run_growth,
     "tail": _run_tail,
     "twoscale": _run_twoscale,
     "excess": _run_excess,
-    "fblock": _run_fblock,
 }
 
 
@@ -386,7 +375,8 @@ def records_to_csv(records):
             writer.writerow([rec.index, "", "", 1, rec.error])
             continue
         for key in sorted(rec.values):
-            writer.writerow([rec.index, key, repr(rec.values[key]), 0, ""])
+            value = repr(float(rec.values[key]))  # never np.float64(...)
+            writer.writerow([rec.index, key, value, 0, ""])
     return buf.getvalue()
 
 
@@ -443,11 +433,4 @@ def summarize(plan: ExperimentPlan, records):
                 if np.isfinite(rec.values["exponent"])]
         out.update(median_exponent=float(np.median(exps)),
                    exponents=[float(e) for e in exps])
-    elif plan.kind == "fblock":
-        radii = plan.effective_radii()
-        means = [float(np.mean([rec.values[f"F2_r{r:g}"] for rec in ok]))
-                 for r in radii]
-        out.update(radii=list(radii), F2=means,
-                   monotone_decreasing=all(
-                       b <= a * 1.05 for a, b in zip(means, means[1:])))
     return out

@@ -1,9 +1,9 @@
 """Hot numeric kernels: operator application and partition interaction sums.
 
-``divform_apply`` is the periodic stencil of ``inv_t - div(a grad .)`` in
-numpy, by slice differences, over the blocks ``coupled_columns`` finds
-nonzero (d of d*d for ``sym(x) Id``); ``elliptic`` computes that pattern
-once per solve.  ``pair_interaction_sup`` prunes: a tile hierarchy bounds
+``divform_apply`` is the periodic stencil of ``-div(a grad .)`` in numpy,
+by slice differences, over the blocks ``coupled_columns`` finds nonzero (d
+of d*d for ``sym(x) Id``); ``elliptic`` computes that pattern once per
+solve.  ``pair_interaction_sup`` prunes: a tile hierarchy bounds
 every cell's interaction sum from above, and only the few cells whose bound
 beats the best full sum so far are summed in full.  The brute-force
 ``pair_interaction_sup_numpy`` is its correctness reference.
@@ -32,9 +32,9 @@ def coupled_columns(a):
                  for i in range(d))
 
 
-def divform_apply(a, u, inv_t=0.0, cols=None):
-    """inv_t*u - div(a grad u) on the torus, with forward-difference grad
-    and backward div.
+def divform_apply(a, u, cols=None):
+    """-div(a grad u) on the torus, with forward-difference grad and
+    backward div.
 
     a has shape (d, d) + grid, u has shape grid; coefficients are applied
     cellwise to the forward-difference gradient.  Row i sums the columns
@@ -42,7 +42,7 @@ def divform_apply(a, u, inv_t=0.0, cols=None):
     """
     d = a.shape[0]
     cols = coupled_columns(a) if cols is None else cols
-    out = inv_t * u if inv_t != 0.0 else np.zeros_like(u)
+    out = np.zeros_like(u)
     f, prod, df = np.empty_like(out), np.empty_like(out), np.empty_like(out)
     for i in range(d):
         j0 = cols[i][0]

@@ -21,7 +21,6 @@ __all__ = [
     "poisson_solve",
     "ball_mask",
     "ball_average",
-    "box_mollify",
     "ball_mean_field",
     "mean_ball_variance",
     "save_field",
@@ -130,10 +129,10 @@ def spectral_solve(rhs, sym):
     return irfftn(uhat, s=rhs.shape[-d:], axes=axes, overwrite_x=True)
 
 
-def poisson_solve(rhs, inv_t=0.0):
-    """u with inv_t u - div(grad u) = rhs, spectrally exact; for inv_t = 0
-    the zero-mean u with -div(grad u) = rhs - mean(rhs)."""
-    return spectral_solve(rhs, inv_t + laplacian_symbol(rhs.shape, rfft=True))
+def poisson_solve(rhs):
+    """The zero-mean u with -div(grad u) = rhs - mean(rhs), spectrally
+    exact."""
+    return spectral_solve(rhs, laplacian_symbol(rhs.shape, rfft=True))
 
 
 def _offsets(n, center):
@@ -158,31 +157,15 @@ def ball_mask(grid: GridSpec, ball: Ball):
     return periodic_dist_sq(grid, ball.center) <= ball.radius**2
 
 
-def _field_grid(u, d=None):
-    """The grid of a field whose trailing axes are the grid axes.  Without
-    ``d`` the grid axes are the trailing axes of length ``u.shape[-1]``;
-    a shape where that leaves d outside {2, 3} cannot be resolved."""
-    u = np.asarray(u)
-    if d is None:
-        d = 0
-        while d < u.ndim and u.shape[-1 - d] == u.shape[-1]:
-            d += 1
-        if d not in (2, 3):
-            raise ValueError(f"cannot tell the grid axes of a field of shape "
-                             f"{u.shape}; pass grid")
-    grid = GridSpec(d, u.shape[-1])
-    if u.shape[u.ndim - d:] != grid.shape:
-        raise ValueError(f"field of shape {u.shape} is not on a "
-                         f"{d}D grid")
-    return grid
-
-
 def ball_average(u, ball: Ball, grid: GridSpec = None):
     """Arithmetic mean of u over the discrete ball; componentwise for
     fields with leading axes.  Without ``grid`` the dimension is that of
     the ball's center."""
     if grid is None:
-        grid = _field_grid(u, len(ball.center))
+        grid = GridSpec(len(ball.center), u.shape[-1])
+        if u.shape[u.ndim - grid.d:] != grid.shape:
+            raise ValueError(f"field of shape {u.shape} is not on a "
+                             f"{grid.d}D grid")
     mask = ball_mask(grid, ball)
     if u.ndim == grid.d:
         return float(u[mask].mean())
@@ -221,24 +204,12 @@ def ball_mean_field(u, radius, grid: GridSpec):
     exact up to floating point.
     """
     if radius > grid.n / 4:
-        raise ValueError("mollification scale exceeds L/4")
+        raise ValueError(f"ball radius {radius} exceeds L/4 = {grid.n / 4}")
     axes = tuple(range(-grid.d, 0))
     flat = u.reshape((-1,) + grid.shape)
     out = irfftn(rfftn(flat, axes=axes) * _ball_kernel_hat(grid, radius),
                  s=grid.shape, axes=axes)
     return out.reshape(u.shape)
-
-
-def box_mollify(u, scale, grid: GridSpec = None):
-    """Moving simple average over balls of radius ``scale``; linear and
-    mass-preserving; the single-cell limit returns the field unchanged.
-    Without ``grid`` the grid axes are the trailing axes of length
-    ``u.shape[-1]``, and a shape that does not resolve raises ValueError."""
-    if grid is None:
-        grid = _field_grid(u)
-    if scale < 0.5:
-        return u.copy()
-    return ball_mean_field(u, scale, grid)
 
 
 _MAGIC_DTYPE = "<i8"

@@ -135,7 +135,7 @@ def malliavin_derivative(a: CoefficientField, spec: FunctionalSpec,
     at = a.transpose()
     adjoints = {}
     if spec.kind == "phi":
-        vt, rep = solve_divform_rhs(at, div(spec.g), 0.0, opts)
+        vt, rep = solve_divform_rhs(at, div(spec.g), opts)
         left = grad(vt)
         adjoints["vt"] = vt
     else:
@@ -146,7 +146,7 @@ def malliavin_derivative(a: CoefficientField, spec: FunctionalSpec,
         m[k] = gb[j]
         m[j] = -gb[k]
         atm = np.einsum("pq...,q...->p...", at.a, m)
-        vh, rep = solve_divform_rhs(at, div(atm), 0.0, opts)
+        vh, rep = solve_divform_rhs(at, div(atm), opts)
         left = m + grad(vh)
         adjoints.update(vb=vb, vh=vh)
     if not rep.converged:

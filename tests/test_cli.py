@@ -58,6 +58,11 @@ class TestExitCodes:
             main(["--threads", "2", "--out", str(tmp_path), "sample"])
         assert exc.value.code == 2
 
+    def test_fblock_is_unknown_kind(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "experiment", "fblock"])
+        assert exc.value.code == 2
+
     def test_growth_radius_is_config_error(self, tmp_path):
         cfg = _write(tmp_path, "grid = 64\nradii = 16\nrealizations = 2\n")
         out = tmp_path / "out"

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from homlab.corrector import (SkewField, build_corrector_set, compute_F_RT,
+from homlab.corrector import (SkewField, build_corrector_set,
                               compute_corrector, compute_flux_and_ahom,
-                              compute_modified, compute_sigma,
-                              extended_components, load_corrector_set,
-                              save_corrector_set, sigma_component)
+                              compute_sigma, extended_components,
+                              load_corrector_set, save_corrector_set,
+                              sigma_component)
 from homlab.elliptic import SolveOptions
 from homlab.lattice import GridSpec, div, grad
 from homlab.randomfield import (CoefficientField, CoefficientModel,
@@ -118,6 +118,19 @@ class TestFluxAndAhom:
         arith = np.mean(a11)
         assert harm - 1e-9 <= tensor.matrix[0, 0] <= arith + 1e-9
 
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    def test_flux_is_the_inline_expression(self, nu):
+        # q_i = a (grad phi_i + e_i) minus its torus mean, bit for bit
+        a = _random_field(9, nu)
+        phi, _ = compute_corrector(a, OPTS)
+        q, _ = compute_flux_and_ahom(a, phi)
+        for i in range(2):
+            gp = grad(phi[i])
+            gp[i] += 1.0
+            flux = np.einsum("pq...,q...->p...", a.a, gp)
+            want = flux - flux.reshape(2, -1).mean(axis=1).reshape(2, 1, 1)
+            assert np.array_equal(q[i], want)
+
 
 class TestSigma:
     def test_skew_storage(self):
@@ -158,52 +171,6 @@ class TestSigma:
         q = np.zeros((2, 2) + GRID.shape)
         s = compute_sigma(q)
         assert np.all(s.values == 0.0)
-
-
-class TestModified:
-    def test_massive_equation_residual(self):
-        a = _random_field(7)
-        mod = compute_modified(a, 16.0, OPTS)
-        from homlab.kernels import divform_apply
-        for i in range(2):
-            res = (divform_apply(a.a, mod.phi_T[i], 1.0 / 16.0)
-                   - div(a.a[:, i]))
-            assert np.linalg.norm(res) < 1e-8
-
-    def test_sigma_massive_identity(self):
-        a = _random_field(7)
-        T = 16.0
-        mod = compute_modified(a, T, OPTS)
-        # (1/T) sigma - lap sigma = curl q_T holds spectrally
-        s = mod.sigma_T.values[0, 0]
-        lap = -div(grad(s))
-        rhs = (np.roll(mod.q_T[0, 1], -1, axis=0) - mod.q_T[0, 1]
-               - np.roll(mod.q_T[0, 0], -1, axis=1) + mod.q_T[0, 0])
-        assert np.allclose(s / T + lap, rhs, atol=1e-9)
-
-    @pytest.mark.parametrize("nu", [0.0, 0.2])
-    def test_flux_is_the_inline_expression(self, nu):
-        # q_T_i = a (grad phi_T_i + e_i), bit for bit as the einsum it was
-        a = _random_field(9, nu)
-        mod = compute_modified(a, 16.0, OPTS)
-        for i in range(2):
-            gp = grad(mod.phi_T[i])
-            gp[i] += 1.0
-            want = np.einsum("pq...,q...->p...", a.a, gp)
-            assert np.array_equal(mod.q_T[i], want)
-
-    def test_T_validation(self):
-        a = _random_field(7)
-        with pytest.raises(ValueError):
-            compute_modified(a, 0.5, OPTS)
-
-    def test_F_RT(self):
-        a = _random_field(8)
-        mod = compute_modified(a, 9.0, OPTS)
-        val = compute_F_RT(mod, 6.0)
-        assert np.isfinite(val) and val >= 0.0
-        with pytest.raises(ValueError):
-            compute_F_RT(mod, 2.0)   # R below sqrt(T)
 
 
 class TestExtended:

@@ -5,8 +5,7 @@ from homlab.corrector import build_corrector_set, extended_components
 from homlab.diagnostics import (DegenerateGramError, dyadic_radii, excess,
                                 excess_decay_experiment, gradient_average,
                                 growth_profile, harmonic_quadratic,
-                                mean_value_ratio, minimal_radius,
-                                regime_reference)
+                                minimal_radius, regime_reference)
 from homlab.elliptic import SolveOptions
 from homlab.lattice import (Ball, GridSpec, ball_average, ball_mask,
                             ball_mean_field, grad)
@@ -199,13 +198,6 @@ class TestDecayExperiment:
             a, corr, R=16.0, r_list=[2.0, 4.0, 8.0], rng=rng, opts=OPTS)
         assert rep.converged
         assert 1.8 < slope < 2.2
-
-    def test_mean_value_ratio(self):
-        a, corr = _corr(5)
-        gu = grad(corr.phi[0])
-        gu[0] += 1.0
-        assert np.isclose(
-            mean_value_ratio(gu, 8.0, 8.0, GRID), 1.0)
 
     def test_gradient_average_full_torus(self):
         a, corr = _corr(5)

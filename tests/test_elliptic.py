@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from homlab import elliptic
@@ -54,14 +53,14 @@ class TestOptions:
 class TestDivform:
     def test_zero_rhs(self):
         a = _random_field()
-        u, rep = solve_divform(a, np.zeros((2,) + GRID.shape), 0.0, OPTS)
+        u, rep = solve_divform(a, np.zeros((2,) + GRID.shape), OPTS)
         assert np.all(u == 0.0)
         assert rep.converged and rep.iterations == 0
 
     def test_identity_matches_poisson(self):
         a = constant_coefficients(GRID)
         g = np.random.default_rng(1).standard_normal((2,) + GRID.shape)
-        u, rep = solve_divform(a, g, 0.0, OPTS)
+        u, rep = solve_divform(a, g, OPTS)
         want = poisson_solve(div(g))
         assert rep.converged
         assert np.allclose(u, want, atol=1e-9)
@@ -74,7 +73,7 @@ class TestDivform:
         prof_g = rng.standard_normal(n)
         g = np.zeros((2, n, n))
         g[0] = prof_g[:, None]
-        u, rep = solve_divform(a, g, 0.0, SolveOptions(tol=1e-12))
+        u, rep = solve_divform(a, g, SolveOptions(tol=1e-12))
         alpha = a.a[0, 0, :, 0]
         c = -np.sum(prof_g / alpha) / np.sum(1.0 / alpha)
         inc = -(prof_g + c) / alpha   # u(x+1) - u(x)
@@ -83,21 +82,11 @@ class TestDivform:
         assert rep.converged
         assert np.max(np.abs(u - u1d[:, None])) < 1e-8
 
-    def test_massive_term(self):
-        a = _random_field(3)
-        rhs = np.random.default_rng(3).standard_normal(GRID.shape)
-        u, rep = solve_divform_rhs(a, rhs, 1.0 / 8.0, OPTS)
-        assert rep.converged
-        # residual recomputed independently
-        from homlab.kernels import divform_apply
-        res = divform_apply(a.a, u, 1.0 / 8.0) - rhs
-        assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
-
     def test_nonsymmetric_converges(self):
         a = _random_field(4, nu=0.2)
         assert not a.is_symmetric()
         g = np.random.default_rng(4).standard_normal((2,) + GRID.shape)
-        u, rep = solve_divform(a, g, 0.0, SolveOptions(tol=1e-9))
+        u, rep = solve_divform(a, g, SolveOptions(tol=1e-9))
         assert rep.converged
         assert abs(u.mean()) < 1e-12
 
@@ -107,7 +96,7 @@ class TestDivform:
         assert a.is_symmetric() == (nu == 0.0)
         g = np.random.default_rng(4).standard_normal((2,) + GRID.shape)
         opts = SolveOptions(tol=1e-10, max_iter=500)
-        _, rep = solve_divform(a, g, 0.0, opts)
+        _, rep = solve_divform(a, g, opts)
         assert rep.converged
         assert 0 < rep.iterations < opts.max_iter
 
@@ -115,25 +104,25 @@ class TestDivform:
     def test_iteration_cap_reported(self, nu):
         a = _random_field(4, nu=nu)
         g = np.random.default_rng(4).standard_normal((2,) + GRID.shape)
-        _, rep = solve_divform(a, g, 0.0, SolveOptions(tol=1e-10, max_iter=2))
+        _, rep = solve_divform(a, g, SolveOptions(tol=1e-10, max_iter=2))
         assert not rep.converged
         assert rep.iterations == 2
 
     def test_report_residual_honest(self):
         a = _random_field(5)
         g = np.random.default_rng(5).standard_normal((2,) + GRID.shape)
-        u, rep = solve_divform(a, g, 0.0, OPTS)
+        u, rep = solve_divform(a, g, OPTS)
         from homlab.kernels import divform_apply
         rhs = div(g)
         rhs = rhs - rhs.mean()
-        res = np.linalg.norm(divform_apply(a.a, u, 0.0) - rhs)
+        res = np.linalg.norm(divform_apply(a.a, u) - rhs)
         assert np.isclose(rep.residual, res / np.linalg.norm(rhs))
 
     def test_torus_preconditioners_agree(self):
         a = _random_field(10)
         g = np.random.default_rng(10).standard_normal((2,) + GRID.shape)
-        u0, rep0 = solve_divform(a, g, 0.0, OPTS)
-        u1, rep1 = solve_divform(a, g, 0.0, SolveOptions(
+        u0, rep0 = solve_divform(a, g, OPTS)
+        u1, rep1 = solve_divform(a, g, SolveOptions(
             tol=1e-11, preconditioner="none"))
         assert rep0.converged and rep1.converged
         assert rep0.iterations < rep1.iterations
@@ -141,33 +130,40 @@ class TestDivform:
 
 
 class TestSpectralPreconditioner:
-    """The torus preconditioner K^-1 (inv_t/c0^2 - div(b grad .)) K^-1."""
+    """The torus preconditioner K^-1 (-div(b grad .)) K^-1, K = -lap."""
 
     def test_laminate_corrector_in_one_step(self):
         # the layered direction is a 1d problem, where the sandwich is exact
         a = _laminate([1.0, 0.5, 0.25, 0.5])
-        _, rep = solve_divform(a, a.a[:, 0], 0.0, SolveOptions(tol=1e-10))
+        _, rep = solve_divform(a, a.a[:, 0], SolveOptions(tol=1e-10))
         assert rep.converged
         assert rep.iterations == 1
 
-    @pytest.mark.parametrize("inv_t", [0.0, 1.0 / 8.0])
-    def test_constant_coefficients_in_one_step(self, inv_t):
+    @pytest.mark.parametrize("shift", [0.0, 1.0 / 8.0])
+    def test_constant_coefficients_in_one_step(self, shift):
+        # a right-hand side of mean ``shift`` is solved as its zero-mean part
         a = constant_coefficients(GRID, 0.7 * np.eye(2))
         g = np.random.default_rng(7).standard_normal((2,) + GRID.shape)
-        _, rep = solve_divform(a, g, inv_t, SolveOptions(tol=1e-10))
+        opts = SolveOptions(tol=1e-10)
+        u, rep = solve_divform_rhs(a, div(g) + shift, opts)
         assert rep.converged
         assert rep.iterations <= 1
+        want, _ = solve_divform(a, g, opts)
+        assert np.max(np.abs(u - want)) <= 1e-9 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("inv_t", [0.0, 1.0 / 8.0])
+    @pytest.mark.parametrize("shift", [0.0, 1.0 / 8.0])
     @pytest.mark.parametrize("nu", [0.0, 0.2])
-    def test_symmetric_positive(self, nu, inv_t):
-        apply = elliptic._spectral_inverse(_random_field(6, nu=nu), inv_t)
+    def test_symmetric_positive(self, nu, shift):
+        # symmetric and positive on zero-mean inputs, blind to a constant
+        apply = elliptic._spectral_inverse(_random_field(6, nu=nu))
         x, y = np.random.default_rng(6).standard_normal((2,) + GRID.shape)
         x -= x.mean()
         y -= y.mean()
-        mxy, xmy = float(np.sum(apply(x) * y)), float(np.sum(x * apply(y)))
+        ax, ay = apply(x + shift), apply(y + shift)
+        mxy, xmy = float(np.sum(ax * y)), float(np.sum(x * ay))
         assert abs(mxy - xmy) <= 1e-12 * abs(mxy)
-        assert float(np.sum(apply(x) * x)) > 0.0
+        assert float(np.sum(ax * x)) > 0.0
+        assert np.max(np.abs(ax - apply(x))) <= 1e-12 * np.max(np.abs(ax))
 
     @pytest.mark.parametrize("nu", [0.0, 0.2])
     @pytest.mark.parametrize("seed", range(4))
@@ -175,36 +171,32 @@ class TestSpectralPreconditioner:
         # measured 9 steps (nu = 0) and 9-10 (nu = 0.2) on seeds 0-7
         a = _random_field(seed, nu=nu)
         g = np.random.default_rng(seed).standard_normal((2,) + GRID.shape)
-        _, rep = solve_divform(a, g, 0.0, SolveOptions(tol=1e-10))
+        _, rep = solve_divform(a, g, SolveOptions(tol=1e-10))
         assert rep.converged
         assert rep.iterations <= 11
 
 
 class TestDivformReference:
     """solve_divform_rhs against a sparse direct solve of the assembled
-    operator plus inv_t I; for inv_t = 0 one cell is pinned and the result
-    re-centered to zero mean."""
+    operator with one cell pinned, re-centered to zero mean.  A right-hand
+    side of mean ``shift`` is solved as its zero-mean part."""
 
-    @pytest.mark.parametrize("inv_t", [0.0, 1.0 / 8.0])
+    @pytest.mark.parametrize("shift", [0.0, 1.0 / 8.0])
     @pytest.mark.parametrize("nu", [0.0, 0.2])
     @pytest.mark.parametrize("d, n", [(2, 32), (3, 12)])
-    def test_matches_sparse_direct_solve(self, d, n, nu, inv_t):
+    def test_matches_sparse_direct_solve(self, d, n, nu, shift):
         grid = GridSpec(d, n)
         a = _random_field(12, nu=nu, grid=grid)
         assert a.is_symmetric() == (nu == 0.0)
         rhs = np.random.default_rng(12).standard_normal(grid.shape)
-        if inv_t == 0.0:
-            rhs -= rhs.mean()
-        u, rep = solve_divform_rhs(a, rhs, inv_t, OPTS)
+        rhs -= rhs.mean()
+        u, rep = solve_divform_rhs(a, rhs + shift, OPTS)
         assert rep.converged
-        k = assembled_operator(a.a) + inv_t * sp.identity(n**d, format="csr")
+        k = assembled_operator(a.a)
         b = rhs.reshape(-1)
-        if inv_t == 0.0:
-            want = np.zeros(n**d)
-            want[1:] = spsolve(k[1:, 1:].tocsc(), b[1:])
-            want -= want.mean()
-        else:
-            want = spsolve(k.tocsc(), b)
+        want = np.zeros(n**d)
+        want[1:] = spsolve(k[1:, 1:].tocsc(), b[1:])
+        want -= want.mean()
         assert (np.max(np.abs(u.reshape(-1) - want))
                 <= 1e-8 * np.max(np.abs(want)))
 
@@ -239,7 +231,7 @@ class TestDirichletBall:
                                       SolveOptions(tol=1e-10))
         from homlab.kernels import divform_apply
         mask = ball_mask(GRID, ball)
-        res = divform_apply(a.a, u, 0.0)[mask]
+        res = divform_apply(a.a, u)[mask]
         assert np.linalg.norm(res) < 1e-7
 
     @pytest.mark.parametrize("d, n, radius, nu, center", [
@@ -271,8 +263,8 @@ class TestDirichletBall:
         want_u[box] = np.where(mask[box], solved[0][0], boundary[box])
         assert np.array_equal(u, want_u)
         bc = np.where(mask, 0.0, boundary)
-        bnorm = np.linalg.norm(divform_apply(a.a, bc, 0.0)[mask])
-        full = np.linalg.norm(np.where(mask, divform_apply(a.a, u, 0.0),
+        bnorm = np.linalg.norm(divform_apply(a.a, bc)[mask])
+        full = np.linalg.norm(np.where(mask, divform_apply(a.a, u),
                                        0.0)) / bnorm
         assert rep.residual > 0.0
         assert abs(rep.residual - full) <= 1e-14 * full

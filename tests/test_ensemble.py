@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,8 @@ class TestPlan:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentPlan(kind="bogus")
+        with pytest.raises(ValueError):
+            ExperimentPlan(kind="fblock")
         with pytest.raises(ValueError):
             ExperimentPlan(kind="scaling", m=1)
         with pytest.raises(ValueError):
@@ -152,6 +157,19 @@ class TestRunEnsemble:
         assert csv1.startswith("index,key,value,failed,error\n")
         assert "\r" not in csv1
 
+    @pytest.mark.parametrize("kind, grids", [("growth", ()),
+                                             ("twoscale", (16,))])
+    def test_csv_values_parse_as_floats(self, kind, grids):
+        # these runners return numpy scalars, whose repr under numpy 2 is
+        # np.float64(...), not a number
+        plan = ExperimentPlan(kind=kind, n=32, m=2, master_seed=1,
+                              grids=grids)
+        text = records_to_csv(run_ensemble(plan))
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert rows and all(row["failed"] == "0" for row in rows)
+        for row in rows:
+            float(row["value"])
+
     def test_tail_constant_model_degenerate(self):
         plan = ExperimentPlan(kind="tail", n=16, m=40, master_seed=0,
                               constant_model=True)
@@ -164,12 +182,6 @@ class TestRunEnsemble:
         out = summarize(plan, run_ensemble(plan))
         assert out["kind"] == "growth"
         assert len(out["V"]) == len(out["radii"])
-
-    def test_fblock_summary(self):
-        plan = ExperimentPlan(kind="fblock", n=32, m=2, master_seed=1,
-                              radii=(2.0, 4.0))
-        out = summarize(plan, run_ensemble(plan))
-        assert "monotone_decreasing" in out
 
     def test_twoscale_small(self):
         plan = ExperimentPlan(kind="twoscale", n=16, m=2, master_seed=1,
