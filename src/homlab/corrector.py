@@ -29,6 +29,8 @@ __all__ = [
     "sigma_component",
     "build_corrector_set",
     "extended_components",
+    "save_corrector_set",
+    "load_corrector_set",
 ]
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "fit_linear",
     "bootstrap_slope",
     "records_to_csv",
+    "summarize",
 ]
 
 KINDS = ("scaling", "growth", "tail", "twoscale", "excess")

@@ -26,6 +26,8 @@ __all__ = [
     "to_coefficients",
     "empirical_covariance",
     "beta_effective",
+    "constant_coefficients",
+    "check_admissible",
 ]
 
 _KCUT = np.pi  # spectral cap: unit correlation length

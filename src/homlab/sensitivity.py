@@ -5,10 +5,20 @@ finite-difference validation of the adjoint formula.
 The adjoint is derived for the discrete operators themselves, so the
 finite-difference check is limited only by the O(t) linearization bias and
 the solver tolerance.  ``malliavin_derivative`` evaluates F(a) from the same
-corrector solve it needs for dF/da and stores it on the derivative, so
-``fd_check`` solves only the perturbed corrector.  Corrector solves are
-shared across functionals: the phi and the sigma functional of one direction
-need the same phi_i, on a and on every perturbed field.
+corrector solve it needs for dF/da and stores it on the derivative.
+``fd_check`` solves no perturbed corrector: a perturbation C = t delta_a on
+the cell x0 changes A = -div(a grad .) by rank d, so with the cell
+responses W_k = A^-1 U_k, U_k = delta_{x0+e_k} - delta_{x0} = -div(e_k
+delta_{x0}) (k < d), the Sherman-Morrison-Woodbury identity gives the
+perturbed corrector exactly:
+
+    G[j, k] = (d_j W_k)(x0)   (forward differences),
+    y = (I + C G)^-1 C (e_i + grad phi_i(x0)),
+    phi_i(a + C delta_{x0}) = phi_i - sum_k y_k W_k.
+
+Corrector and response solves are shared: the phi and the sigma functional
+of one direction need the same phi_i, and every check on one cell the same
+d responses, whatever its direction, step or delta_a.
 """
 
 import hashlib
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrector import compute_corrector, sigma_component
-from .elliptic import SolveOptions, solve_divform_rhs
+from .elliptic import SolveOptions, solve_divform, solve_divform_rhs
 from .lattice import bgrad, div, grad, poisson_solve
 from .randomfield import CoefficientField
 
@@ -65,35 +75,87 @@ class DerivativeField:
     opts: SolveOptions
 
 
-# One direction's phi_i plus 2 perturbations x 2 steps of an fd check: with
-# fewer entries the phi-then-sigma reuse order evicts each entry before its
-# reuse.  A new field's solves evict the old field's entries.
+# A direction's checks on one cell reuse two entries, phi_i and the cell's
+# responses, across the phi-then-sigma order.  Five leave room for the
+# checks of several cells or directions of one field; a new field's solves
+# evict the old field's entries.
 _MEMO_SIZE = 5
 _memo = OrderedDict()
 
 
-def _corrector(a: CoefficientField, i, opts):
-    """phi_i, the one corrector a functional of direction i needs, read-only.
-
-    Solves are memoized on a digest of the coefficients, the direction and
-    the options, so a repeat returns the bit-identical array.  Only converged
-    solves are stored (``compute_corrector`` raises otherwise)."""
-    opts = opts or SolveOptions()
+def _digest(a: CoefficientField):
+    """The coefficients' part of a memo key: SHA-256, shape and dtype."""
     coeffs = np.ascontiguousarray(a.a)
-    key = (hashlib.sha256(coeffs.data).hexdigest(), coeffs.shape,
-           coeffs.dtype.str, i, opts)
-    phi = _memo.get(key)
-    if phi is not None:
+    return (hashlib.sha256(coeffs.data).hexdigest(), coeffs.shape,
+            coeffs.dtype.str)
+
+
+def _memoized(key, solve):
+    """The read-only result of ``solve()``, shared under ``key``; a repeat
+    returns the bit-identical array.  ``solve`` raises unless it
+    converged, so only converged solves are stored."""
+    value = _memo.get(key)
+    if value is not None:
         _memo.move_to_end(key)
-        return phi
+        return value
     if len(_memo) >= _MEMO_SIZE:
         # evict before solving: the solve's working arrays then share the
         # peak with 4 held entries, not 5
         _memo.popitem(last=False)
-    phi = compute_corrector(a, opts, directions=[i])[0][0]
-    phi.flags.writeable = False
-    _memo[key] = phi
-    return phi
+    value = solve()
+    value.flags.writeable = False
+    _memo[key] = value
+    return value
+
+
+def _corrector(a: CoefficientField, i, opts, digest=None):
+    """phi_i, the one corrector a functional of direction i needs, memoized
+    on the coefficients' ``digest`` (taken here when None), the direction
+    and the options."""
+    opts = opts or SolveOptions()
+    key = (digest or _digest(a)) + ("phi", i, opts)
+    return _memoized(
+        key, lambda: compute_corrector(a, opts, directions=[i])[0][0])
+
+
+def _cell_responses(a: CoefficientField, cell, opts, digest):
+    """W_k = A^-1 U_k for k < d, U_k = -div(e_k delta_cell), stacked:
+    shape (d,) + grid, memoized like ``_corrector``."""
+
+    def solve():
+        d = a.grid.d
+        w = np.empty((d,) + a.grid.shape)
+        for k in range(d):
+            g = np.zeros((d,) + a.grid.shape)
+            g[(k,) + cell] = -1.0
+            w[k], rep = solve_divform(a, g, opts)
+            if not rep.converged:
+                raise RuntimeError(f"cell response solve failed: {rep}")
+        return w
+
+    return _memoized(digest + ("cell", cell, opts), solve)
+
+
+def _grad_at(u, cell):
+    """Forward differences of u's last d axes at one cell, periodic:
+    shape (d,) + u.shape[:-d], the new leading axis the direction."""
+    shape = u.shape[-len(cell):]
+    here = u[(Ellipsis,) + cell]
+    return np.stack([
+        u[(Ellipsis,) + tuple((c + (k == j)) % m
+                              for k, (c, m) in enumerate(zip(cell, shape)))]
+        - here for j in range(len(cell))])
+
+
+def _perturbed_corrector(a: CoefficientField, i, cell, c, opts, digest):
+    """phi_i of a + c delta_cell by the rank-d update of the module
+    docstring, from the memoized phi_i and cell responses of a."""
+    phi = _corrector(a, i, opts, digest)
+    w = _cell_responses(a, cell, opts, digest)
+    v = _grad_at(phi, cell)
+    v[i] += 1.0
+    y = np.linalg.solve(np.eye(a.grid.d) + c @ _grad_at(w, cell), c @ v)
+    return phi - np.tensordot(y, w, axes=1)
 
 
 def _value(a: CoefficientField, spec: FunctionalSpec, phi):
@@ -109,8 +171,7 @@ def _value(a: CoefficientField, spec: FunctionalSpec, phi):
 
 def functional_value(a: CoefficientField, spec: FunctionalSpec,
                      opts: SolveOptions = None):
-    """Evaluate F(a) from scratch: one corrector solve (the finite-difference
-    check uses it for the perturbed field)."""
+    """Evaluate F(a) from scratch: one corrector solve."""
     return _value(a, spec, _corrector(a, spec.direction, opts))
 
 
@@ -126,10 +187,14 @@ def malliavin_derivative(a: CoefficientField, spec: FunctionalSpec,
                      dF/da = (m + grad vh)  (x)  (grad phi_i + e_i).
     F(a) is evaluated from the same phi_i and stored as ``value``.
     """
-    opts = opts or SolveOptions()
+    return _derivative(a, spec, opts or SolveOptions(), _digest(a))
+
+
+def _derivative(a: CoefficientField, spec: FunctionalSpec, opts, digest):
+    """``malliavin_derivative`` on the coefficients' memo ``digest``."""
     grid = a.grid
     i = spec.direction
-    phi = _corrector(a, i, opts)
+    phi = _corrector(a, i, opts, digest)
     w = grad(phi)
     w[i] += 1.0
     at = a.transpose()
@@ -172,34 +237,51 @@ def carre_du_champ(deriv: DerivativeField, labels):
 
 def fd_check(a: CoefficientField, spec: FunctionalSpec, cell, delta_a,
              t=None, opts: SolveOptions = None, deriv: DerivativeField = None):
-    """Perturb a by t * delta_a on one cell, recompute F exactly, and
+    """Perturb a by C = t * delta_a on one cell x0, recompute F exactly, and
     compare the difference quotient with the adjoint prediction, relative
     to ||dF/da(cell)||_F ||delta_a||_F: that bounds |adjoint| (Cauchy-
     Schwarz) but, unlike it, is not ~0 when delta_a is orthogonal to dF/da.
 
-    The unperturbed F(a) is ``deriv.value``, so only the perturbed corrector
-    is solved here; without ``deriv`` the derivative is computed first.  A
-    ``deriv`` computed with options other than ``opts`` raises ValueError,
-    since both values of the difference quotient must come from solves at
-    the same tolerance.
+    The perturbed corrector is the rank-d update of the module docstring,
+    phi_i - sum_k y_k W_k with y = (I + C G)^-1 C (e_i + grad phi_i(x0)),
+    exact up to the solve tolerance: the first check on a cell solves its d
+    responses W_k, later ones on the same field and options none.  The
+    unperturbed F(a) is ``deriv.value``; without ``deriv`` the derivative
+    is computed first.  A ``deriv`` computed with options other than
+    ``opts`` raises ValueError, since both values of the difference
+    quotient must come from solves at the same tolerance.  So does a
+    ``cell`` that is not d integers in [0, n), a ``delta_a`` that is not a
+    finite d x d matrix, and a ``t`` that is zero or not finite.
 
     Returns (relative_error, fd_value, adjoint_value).
     """
+    d, n = a.grid.d, a.grid.n
+    idx = tuple(np.atleast_1d(cell))
+    if len(idx) != d or not all(isinstance(x, np.integer) and 0 <= x < n
+                                for x in idx):
+        raise ValueError(f"cell must be {d} integers in [0, {n}), "
+                         f"got {cell!r}")
+    cell = tuple(int(x) for x in idx)
+    delta_a = np.asarray(delta_a, dtype=np.float64)
+    if delta_a.shape != (d, d) or not np.all(np.isfinite(delta_a)):
+        raise ValueError(f"delta_a must be a finite {d} x {d} matrix")
+    t = 1e-4 * a.lam_eff if t is None else float(t)
+    if not np.isfinite(t) or t == 0.0:
+        raise ValueError(f"step t must be finite and nonzero, got {t}")
     opts = opts or SolveOptions(tol=1e-12)
-    if t is None:
-        t = 1e-4 * a.lam_eff
+    digest = _digest(a)
     if deriv is None:
-        deriv = malliavin_derivative(a, spec, opts)
+        deriv = _derivative(a, spec, opts, digest)
     elif deriv.opts != opts:
         raise ValueError(f"derivative solved with {deriv.opts}, "
                          f"fd_check asked for {opts}")
-    delta_a = np.asarray(delta_a, dtype=np.float64)
-    local = deriv.deriv[(Ellipsis,) + tuple(cell)]
+    local = deriv.deriv[(Ellipsis,) + cell]
     adj = float(np.sum(local * delta_a))
+    c = t * delta_a
     a2 = a.a.copy()
-    a2[(Ellipsis,) + tuple(cell)] += t * delta_a
+    a2[(Ellipsis,) + cell] += c
     pert = CoefficientField(a2, a.lam_eff, a.grid)
-    f1 = functional_value(pert, spec, opts)
-    fd = (f1 - deriv.value) / t
+    phi_pert = _perturbed_corrector(a, spec.direction, cell, c, opts, digest)
+    fd = (_value(pert, spec, phi_pert) - deriv.value) / t
     denom = max(float(np.linalg.norm(local) * np.linalg.norm(delta_a)), 1e-300)
     return abs(fd - adj) / denom, fd, adj

@@ -26,3 +26,4 @@ def test_package_imports_resolve():
     for module, name in imports:
         source = importlib.import_module(f"homlab.{module}")
         assert getattr(homlab, name) is getattr(source, name)
+        assert name in source.__all__, f"{module}.__all__ lacks {name}"
