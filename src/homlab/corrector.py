@@ -111,10 +111,10 @@ def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
     return phi, reports
 
 
-def _flux(a: CoefficientField, phi_i, i):
-    """a (grad phi_i + e_i) and its torus mean."""
+def _flux(a: CoefficientField, grad_phi_i, i):
+    """a (grad phi_i + e_i) and its torus mean; ``grad_phi_i`` is kept."""
     d = a.grid.d
-    gp = grad(phi_i)
+    gp = grad_phi_i.copy()
     gp[i] += 1.0
     flux = np.einsum("pq...,q...->p...", a.a, gp)
     return flux, flux.reshape(d, -1).mean(axis=1)
@@ -122,21 +122,26 @@ def _flux(a: CoefficientField, phi_i, i):
 
 def _curl(q_i, j, k):
     """d_j q_ik - d_k q_ij with forward differences: the right-hand side of
-    the sigma_ijk equation."""
-    return (np.roll(q_i[k], -1, axis=j) - q_i[k]
-            - np.roll(q_i[j], -1, axis=k) + q_i[j])
+    the sigma_ijk equation, as (d_j q_ik - q_ij(x + e_k)) + q_ij."""
+    out = _pdiff(q_i[k], j)
+    v, w = np.swapaxes(q_i[j], 0, k), np.swapaxes(out, 0, k)
+    w[:-1] -= v[1:]
+    w[-1:] -= v[:1]
+    return np.add(out, q_i[j], out=out)
 
 
-def compute_flux_and_ahom(a: CoefficientField, phi):
+def compute_flux_and_ahom(a: CoefficientField, phi, grad_phi=None):
     """Fluxes q_i (mean-zero exactly) and a_hom column i =
-    mean of a (grad phi_i + e_i); ``phi`` must hold all d correctors."""
+    mean of a (grad phi_i + e_i); ``phi`` must hold all d correctors.
+    ``grad_phi``, [i, j] = d_j phi_i, is taken from ``phi`` when None."""
     d = a.grid.d
     if phi.shape[0] != d:
         raise ValueError(f"need all {d} correctors, got {phi.shape[0]}")
     q = np.zeros((d, d) + a.grid.shape)
     a_hom = np.zeros((d, d))
     for i in range(d):
-        flux, mean = _flux(a, phi[i], i)
+        gp = grad(phi[i]) if grad_phi is None else grad_phi[i]
+        flux, mean = _flux(a, gp, i)
         a_hom[:, i] = mean
         q[i] = flux - mean.reshape((d,) + (1,) * d)
     sym = (a_hom + a_hom.T) / 2
@@ -165,25 +170,30 @@ def sigma_component(a: CoefficientField, phi_i, i, j, k):
     """The one component sigma_ijk, from phi_i alone: the flux q_i and a
     single Poisson solve, equal to ``compute_sigma``'s."""
     d = a.grid.d
-    flux, mean = _flux(a, phi_i, i)
+    flux, mean = _flux(a, grad(phi_i), i)
     return poisson_solve(_curl(flux - mean.reshape((d,) + (1,) * d), j, k))
+
+
+def _extended_fields(phi, sigma: SkewField):
+    """The rows of ``extended_components``, each made when it is reached."""
+    yield from phi
+    for values in sigma.values.reshape((-1,) + phi.shape[1:]):
+        yield values * np.sqrt(2.0)
 
 
 def extended_components(phi, sigma: SkewField):
     """Stacked components of the extended corrector (phi, sigma) scaled so
     that the plain sum of squares equals |(phi, sigma)|^2 (each unordered
     sigma pair stands for both orderings, hence the sqrt(2) weight)."""
-    shape = phi.shape[1:]
-    sig = sigma.values.reshape((-1,) + shape) * np.sqrt(2.0)
-    return np.concatenate([phi, sig], axis=0)
+    return np.stack(list(_extended_fields(phi, sigma)))
 
 
 def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):
     """Correctors of all d directions, their fluxes, a_hom and sigma."""
     phi, reports = compute_corrector(a, opts)
-    q, tensor = compute_flux_and_ahom(a, phi)
-    sigma = compute_sigma(q)
     gp = np.stack([grad(phi[i]) for i in range(a.grid.d)])
+    q, tensor = compute_flux_and_ahom(a, phi, gp)
+    sigma = compute_sigma(q)
     return CorrectorSet(a.grid, phi, gp, q, tensor.matrix, sigma,
                         a.lam_eff, reports)
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import CorrectorSet, extended_components
+from .corrector import CorrectorSet, _extended_fields, extended_components
 from .elliptic import SolveOptions, solve_dirichlet_ball
 from .lattice import (Ball, GridSpec, _offsets, ball_average, ball_mask, grad,
                       mean_ball_variance, periodic_dist_sq)
@@ -188,7 +188,7 @@ def growth_profile(corr: CorrectorSet, radii, beta=0.0):
     radii = np.asarray(radii, dtype=np.float64)
     if np.any(radii > grid.n / 8):
         raise ValueError("growth radii must stay <= L/8")
-    vals = mean_ball_variance(extended_components(corr.phi, corr.sigma),
-                              radii, grid)
+    vals = mean_ball_variance(_extended_fields(corr.phi, corr.sigma), radii,
+                              grid)
     ref, regime = regime_reference(grid.d, beta, radii)
     return GrowthProfile(radii, vals, ref, regime)

@@ -20,8 +20,8 @@ from scipy.fft import dstn, idstn, next_fast_len
 from scipy.sparse.linalg import LinearOperator, bicgstab, cg
 
 from . import kernels
-from .lattice import (Ball, GridSpec, ball_mask, div, laplacian_symbol,
-                      spectral_solve)
+from .lattice import (Ball, GridSpec, _inverse_laplacian, _spectral_multiply,
+                      ball_mask, div, laplacian_symbol)
 from .randomfield import CoefficientField
 
 __all__ = [
@@ -64,13 +64,13 @@ def _spectral_inverse(field: CoefficientField):
     """The torus preconditioner of the module docstring; the zero mode is
     projected out."""
     d = field.grid.d
-    sym = laplacian_symbol(field.grid.shape, rfft=True)
+    inv = _inverse_laplacian(field.grid.shape)
     # b[i, j] broadcasts 1/a_ii; the diagonal columns are the only ones read
     diag = 1.0 / np.einsum("ii...->i...", field.a)
     b = np.broadcast_to(diag[:, None], (d,) + diag.shape)
     cols = tuple((i,) for i in range(d))
-    return lambda r: spectral_solve(
-        kernels.divform_apply(b, spectral_solve(r, sym), cols), sym)
+    return lambda r: _spectral_multiply(
+        kernels.divform_apply(b, _spectral_multiply(r, inv), cols), inv)
 
 
 def _krylov(field: CoefficientField, matvec, b, make_precond,

@@ -3,9 +3,10 @@
 ``divform_apply`` is the periodic stencil of ``-div(a grad .)`` in numpy,
 by slice differences, over the blocks ``coupled_columns`` finds nonzero (d
 of d*d for ``sym(x) Id``); ``elliptic`` computes that pattern once per
-solve.  ``pair_interaction_sup`` prunes: a tile hierarchy bounds
-every cell's interaction sum from above, and only the few cells whose bound
-beats the best full sum so far are summed in full.  The brute-force
+solve; it takes each forward difference once, however many rows read it.
+``pair_interaction_sup`` prunes: a tile hierarchy bounds every cell's
+interaction sum from above, and only the few cells whose bound beats the
+best full sum so far are summed in full.  The brute-force
 ``pair_interaction_sup_numpy`` is its correctness reference.
 """
 
@@ -42,15 +43,21 @@ def divform_apply(a, u, cols=None):
     """
     d = a.shape[0]
     cols = coupled_columns(a) if cols is None else cols
-    out = np.zeros_like(u)
-    f, prod, df = np.empty_like(out), np.empty_like(out), np.empty_like(out)
+    # a forward difference that several rows read is taken once
+    shared = {j: _pdiff(u, j) for j in range(d)
+              if sum(j in row for row in cols) > 1}
+    out, f, buf = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     for i in range(d):
-        j0 = cols[i][0]
-        np.multiply(a[i, j0], _pdiff(u, j0, True, f), out=f)
-        for j in cols[i][1:]:
-            f += np.multiply(a[i, j], _pdiff(u, j, True, prod), out=prod)
-        out -= _pdiff(f, i, False, df)
-    return out
+        for n, j in enumerate(cols[i]):
+            t = shared[j] if j in shared else _pdiff(u, j, True, buf)
+            np.multiply(a[i, j], t, out=buf if n else f)
+            if n:
+                f += buf
+        _pdiff(f, i, False, buf if i else out)
+        if i:
+            out += buf
+    # -(b0 + b1 + ...) is (-b0 - b1) - ... bit for bit
+    return np.negative(out, out=out)
 
 
 def _box_dist_sq_numpy(corners, upper, i):

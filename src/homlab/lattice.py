@@ -3,10 +3,14 @@
 Conventions: spacing h = 1 (unit correlation length), torus side L = N.
 ``grad`` is the forward difference, ``div`` the backward difference, so that
 <grad u, v> = -<u, div v> holds exactly and the divergence-form operator is
-exactly symmetric for symmetric coefficients.
+exactly symmetric for symmetric coefficients.  A difference of C-contiguous
+arrays is one flat subtraction, its wrap slab then overwritten; the inverse
+Laplacian multiplier is built once per grid shape.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import fftfreq, irfftn, rfftfreq, rfftn
@@ -75,7 +79,13 @@ def _pdiff(u, axis, forward=True, out=None):
     periodic, by slices into ``out`` (fresh when None; never ``u``)."""
     out = np.empty_like(u) if out is None else out
     v, w = np.swapaxes(u, 0, axis), np.swapaxes(out, 0, axis)
-    np.subtract(v[1:], v[:-1], out=w[:-1] if forward else w[1:])
+    if u.flags.c_contiguous and out.flags.c_contiguous:
+        # flat k + s is x + e off the wrap slab, which is overwritten below
+        s = math.prod(u.shape[axis + 1:])
+        uf, of = u.reshape(-1), out.reshape(-1)
+        np.subtract(uf[s:], uf[:-s], out=of[:-s] if forward else of[s:])
+    else:
+        np.subtract(v[1:], v[:-1], out=w[:-1] if forward else w[1:])
     np.subtract(v[:1], v[-1:], out=w[-1:] if forward else w[:1])
     return out
 
@@ -111,28 +121,43 @@ def laplacian_symbol(shape, rfft=False):
     return sym
 
 
+def _spectral_multiply(rhs, mult):
+    """irfftn(rfftn(rhs) * mult) over the trailing ``mult.ndim`` axes."""
+    axes = tuple(range(-mult.ndim, 0))
+    uhat = rfftn(rhs, axes=axes)
+    uhat *= mult
+    return irfftn(uhat, s=rhs.shape[-mult.ndim:], axes=axes, overwrite_x=True)
+
+
+@lru_cache(maxsize=4)
+def _inverse_laplacian(shape):
+    """Read-only 1 / ``laplacian_symbol(shape, rfft=True)``, 0 at k = 0."""
+    sym = laplacian_symbol(shape, rfft=True)
+    sym[(0,) * len(shape)] = np.inf
+    mult = 1.0 / sym
+    mult.flags.writeable = False
+    return mult
+
+
 def spectral_solve(rhs, sym):
     """irfftn(rfftn(rhs) / sym) over the trailing axes, batched over any
     leading axes of ``rhs``.  ``sym`` is a real or complex symbol on the
     rfft half spectrum of the grid, whose dimension is ``sym.ndim``.  A zero
     ``sym`` at k = 0 projects out the mean: the result then has zero mean."""
-    d = sym.ndim
-    axes = tuple(range(-d, 0))
-    uhat = rfftn(rhs, axes=axes)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the product with the reciprocal is the complex division's own
         # arithmetic in numpy, bit for bit, and several times faster
-        uhat *= 1.0 / sym
-    zero = (0,) * d
+        mult = 1.0 / sym
+    zero = (0,) * sym.ndim
     if sym[zero] == 0.0:
-        uhat[(Ellipsis,) + zero] = 0.0
-    return irfftn(uhat, s=rhs.shape[-d:], axes=axes, overwrite_x=True)
+        mult[zero] = 0.0
+    return _spectral_multiply(rhs, mult)
 
 
 def poisson_solve(rhs):
     """The zero-mean u with -div(grad u) = rhs - mean(rhs), spectrally
     exact."""
-    return spectral_solve(rhs, laplacian_symbol(rhs.shape, rfft=True))
+    return _spectral_multiply(rhs, _inverse_laplacian(rhs.shape))
 
 
 def _offsets(n, center):
@@ -205,11 +230,7 @@ def ball_mean_field(u, radius, grid: GridSpec):
     """
     if radius > grid.n / 4:
         raise ValueError(f"ball radius {radius} exceeds L/4 = {grid.n / 4}")
-    axes = tuple(range(-grid.d, 0))
-    flat = u.reshape((-1,) + grid.shape)
-    out = irfftn(rfftn(flat, axes=axes) * _ball_kernel_hat(grid, radius),
-                 s=grid.shape, axes=axes)
-    return out.reshape(u.shape)
+    return _spectral_multiply(u, _ball_kernel_hat(grid, radius))
 
 
 _MAGIC_DTYPE = "<i8"

@@ -75,11 +75,11 @@ class DerivativeField:
     opts: SolveOptions
 
 
-# A direction's checks on one cell reuse two entries, phi_i and the cell's
-# responses, across the phi-then-sigma order.  Five leave room for the
-# checks of several cells or directions of one field; a new field's solves
-# evict the old field's entries.
-_MEMO_SIZE = 5
+# A direction's checks on one cell reuse two entries, phi_i (1 grid field)
+# and the cell's responses (d fields), across the phi-then-sigma order.  A
+# budget of 5 fields keeps both, with room for more cells or directions; a
+# new field's solves evict the old field's.  Key -> (fields, array).
+_MEMO_FIELDS = 5
 _memo = OrderedDict()
 
 
@@ -90,21 +90,20 @@ def _digest(a: CoefficientField):
             coeffs.dtype.str)
 
 
-def _memoized(key, solve):
-    """The read-only result of ``solve()``, shared under ``key``; a repeat
-    returns the bit-identical array.  ``solve`` raises unless it
-    converged, so only converged solves are stored."""
-    value = _memo.get(key)
-    if value is not None:
+def _memoized(key, fields, solve):
+    """The read-only result of ``solve()``, ``fields`` grid fields, shared
+    under ``key``; a repeat returns the bit-identical array.  ``solve``
+    raises unless it converged, so only converged solves are stored."""
+    if key in _memo:
         _memo.move_to_end(key)
-        return value
-    if len(_memo) >= _MEMO_SIZE:
-        # evict before solving: the solve's working arrays then share the
-        # peak with 4 held entries, not 5
+        return _memo[key][1]
+    # evict before solving: the solve's working arrays then share the peak
+    # with at most _MEMO_FIELDS - fields held fields
+    while _memo and sum(f for f, _ in _memo.values()) + fields > _MEMO_FIELDS:
         _memo.popitem(last=False)
     value = solve()
     value.flags.writeable = False
-    _memo[key] = value
+    _memo[key] = (fields, value)
     return value
 
 
@@ -115,7 +114,7 @@ def _corrector(a: CoefficientField, i, opts, digest=None):
     opts = opts or SolveOptions()
     key = (digest or _digest(a)) + ("phi", i, opts)
     return _memoized(
-        key, lambda: compute_corrector(a, opts, directions=[i])[0][0])
+        key, 1, lambda: compute_corrector(a, opts, directions=[i])[0][0])
 
 
 def _cell_responses(a: CoefficientField, cell, opts, digest):
@@ -133,7 +132,7 @@ def _cell_responses(a: CoefficientField, cell, opts, digest):
                 raise RuntimeError(f"cell response solve failed: {rep}")
         return w
 
-    return _memoized(digest + ("cell", cell, opts), solve)
+    return _memoized(digest + ("cell", cell, opts), a.grid.d, solve)
 
 
 def _grad_at(u, cell):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import homlab.corrector
+
 from homlab.corrector import (SkewField, build_corrector_set,
                               compute_corrector, compute_flux_and_ahom,
                               compute_sigma, extended_components,
                               load_corrector_set, save_corrector_set,
                               sigma_component)
 from homlab.elliptic import SolveOptions
-from homlab.lattice import GridSpec, div, grad
+from homlab.diagnostics import growth_profile
+from homlab.lattice import GridSpec, div, grad, mean_ball_variance
 from homlab.randomfield import (CoefficientField, CoefficientModel,
                                 CovarianceSpec, SeedSpec,
                                 constant_coefficients, sample_gaussian,
@@ -167,6 +170,17 @@ class TestSigma:
         rel = np.linalg.norm(ds - corr.q) / np.linalg.norm(corr.q)
         assert rel < 1e-7
 
+    @pytest.mark.parametrize("shape", [(12, 10), (8, 6, 10)])
+    def test_curl_matches_roll_formula(self, shape):
+        d = len(shape)
+        q_i = np.random.default_rng(d).standard_normal((d,) + shape)
+        for j in range(d):
+            for k in range(j + 1, d):
+                want = (np.roll(q_i[k], -1, axis=j) - q_i[k]
+                        - np.roll(q_i[j], -1, axis=k) + q_i[j])
+                assert np.array_equal(homlab.corrector._curl(q_i, j, k),
+                                      want)
+
     def test_constant_zero(self):
         q = np.zeros((2, 2) + GRID.shape)
         s = compute_sigma(q)
@@ -184,6 +198,19 @@ class TestExtended:
                    for i in range(2) for j in range(2) for k in range(2))
         got = np.sum(comps**2) - np.sum(corr.phi**2)
         assert np.isclose(got, full)
+
+    def test_growth_profile_streams_the_same_components(self):
+        # the profile takes the scaled components one at a time; they and
+        # their ball variances equal the stacked ones bit for bit
+        a = _random_field(9, nu=0.1)
+        corr = build_corrector_set(a, OPTS)
+        comps = extended_components(corr.phi, corr.sigma)
+        rows = list(homlab.corrector._extended_fields(corr.phi, corr.sigma))
+        assert len(rows) == len(comps)
+        assert all(np.array_equal(r, c) for r, c in zip(rows, comps))
+        radii = (1.0, 2.0, 4.0)
+        want = mean_ball_variance(comps, radii, GRID)
+        assert np.array_equal(growth_profile(corr, radii).values, want)
 
 
 class TestIO:

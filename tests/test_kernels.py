@@ -120,6 +120,27 @@ class TestDivformReference:
         assert not np.shares_memory(out1, u)
 
 
+class TestSharedDifferences:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dense_field_takes_d_forward_differences(self, d, monkeypatch):
+        # every row reads every column's forward difference; each is taken
+        # once, and each row takes one backward difference
+        a = _field("dense", d)
+        u = np.random.default_rng(10).standard_normal(a.shape[2:])
+        want = _divform_roll(a, u)
+        calls = []
+        pdiff = kernels._pdiff
+
+        def counting(v, axis, forward=True, out=None):
+            calls.append((axis, forward))
+            return pdiff(v, axis, forward, out)
+
+        monkeypatch.setattr(kernels, "_pdiff", counting)
+        assert np.array_equal(kernels.divform_apply(a, u), want)
+        assert sorted(axis for axis, fw in calls if fw) == list(range(d))
+        assert sorted(axis for axis, fw in calls if not fw) == list(range(d))
+
+
 class TestCoupledColumns:
     def test_diagonal_field(self):
         assert kernels.coupled_columns(_field("diagonal", 3)) == (

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.lattice import (Ball, GridSpec, ball_average, ball_mask,
+from homlab.lattice import (Ball, GridSpec, _pdiff, ball_average, ball_mask,
                             ball_mean_field, bgrad, div, grad,
                             laplacian_symbol, load_field, periodic_dist_sq,
                             poisson_solve, save_field, spectral_solve)
@@ -57,6 +57,79 @@ class TestCalculus:
         sym = laplacian_symbol((n, n), rfft=True)
         lap_hat = np.fft.rfftn(u) * sym
         assert np.allclose(lap, np.fft.irfftn(lap_hat, s=(n, n), axes=(0, 1)), atol=1e-10)
+
+
+def _layouts(shape):
+    """(name, array) pairs of one shape: C-contiguous, a strided slice, a
+    transpose, and an a[i, j] block view of a cropped coefficient field."""
+    rng = _rng(sum(shape))
+    d = len(shape)
+    strided = rng.standard_normal(tuple(2 * m + 1 for m in shape))[
+        tuple(slice(1, None, 2) for _ in shape)]
+    crop = tuple(slice(2, 2 + m) for m in shape)
+    block = rng.standard_normal((d, d) + tuple(m + 3 for m in shape))[
+        (slice(None), slice(None)) + crop][d - 1, 0]
+    return [("contiguous", rng.standard_normal(shape)), ("strided", strided),
+            ("transpose", np.ascontiguousarray(
+                rng.standard_normal(shape[::-1])).T),
+            ("block", block)]
+
+
+def _roll_diff(u, axis, forward):
+    return (np.roll(u, -1, axis=axis) - u if forward
+            else u - np.roll(u, 1, axis=axis))
+
+
+SHAPES = [(12, 10), (10, 12), (8, 6, 10), (6, 10, 8)]
+
+
+class TestDifferencesMatchRoll:
+    """The slice and flat differences against ``np.roll``, bit for bit, on
+    non-cubic shapes and on views that are not C-contiguous."""
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_pdiff(self, shape, forward):
+        for name, u in _layouts(shape):
+            for axis in range(len(shape)):
+                want = _roll_diff(u, axis, forward)
+                assert np.array_equal(_pdiff(u, axis, forward), want), name
+                for out in (np.empty(shape), np.empty(shape[::-1]).T,
+                            np.empty(tuple(2 * m for m in shape))[
+                                tuple(slice(None, None, 2) for _ in shape)]):
+                    got = _pdiff(u, axis, forward, out)
+                    assert got is out and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_grad_bgrad(self, shape):
+        d = len(shape)
+        for name, u in _layouts(shape):
+            assert np.array_equal(grad(u), np.stack(
+                [_roll_diff(u, j, True) for j in range(d)])), name
+            assert np.array_equal(bgrad(u), np.stack(
+                [_roll_diff(u, j, False) for j in range(d)])), name
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_div(self, shape):
+        d = len(shape)
+        vshape = (d,) + shape
+        rng = _rng(d)
+        crop = tuple(slice(1, 1 + m) for m in shape)
+        fields = {
+            "contiguous": rng.standard_normal(vshape),
+            "strided": rng.standard_normal(tuple(2 * m for m in vshape))[
+                tuple(slice(None, None, 2) for _ in vshape)],
+            "transpose": np.ascontiguousarray(
+                rng.standard_normal(vshape[::-1])).T,
+            "block": rng.standard_normal(
+                (d, d) + tuple(m + 2 for m in shape))[
+                    (d - 1, slice(None)) + crop],
+        }
+        for name, f in fields.items():
+            want = _roll_diff(f[0], 0, False)
+            for j in range(1, d):
+                want += _roll_diff(f[j], j, False)
+            assert np.array_equal(div(f), want), name
 
 
 class TestPoisson:

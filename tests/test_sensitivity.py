@@ -245,6 +245,25 @@ class TestSharedSolves:
             assert len(homlab.sensitivity._memo) <= 5
         assert len(homlab.sensitivity._memo) == 5
 
+    def test_memo_holds_at_most_its_field_budget(self):
+        # phi_i entries and response sets of several fields, counted by
+        # the arrays the memo holds
+        a = _field(22)
+        memo = homlab.sensitivity._memo
+        budget = homlab.sensitivity._MEMO_FIELDS * a.a[0, 0].size
+        for step in range(3):
+            a2 = a.a.copy()
+            a2[0, 0, step, 0] += 1e-3
+            b = CoefficientField(a2, a.lam_eff, a.grid)
+            digest = homlab.sensitivity._digest(b)
+            for call in (
+                    lambda: homlab.sensitivity._corrector(b, 0, OPTS, digest),
+                    lambda: homlab.sensitivity._cell_responses(
+                        b, (step, 1), OPTS, digest),
+                    lambda: homlab.sensitivity._corrector(b, 1, OPTS, digest)):
+                call()
+                assert sum(v.size for _, v in memo.values()) <= budget
+
     def test_phi_then_sigma_solves_five_times(self, monkeypatch):
         # criterion 3's sequence: for each kind one derivative, then fd
         # checks at t and t/2 for a symmetric and a skew perturbation.
