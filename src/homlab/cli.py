@@ -3,7 +3,9 @@ out.  Every command is idempotent given (config, seed) and always writes a
 run manifest, even on failure."""
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import platform
 import sys
@@ -35,50 +37,60 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMA = {
-    "dimension": int,
-    "grid": int,
-    "grids": "int_list",
-    "lambda": float,
-    "gamma": float,
-    "skew": float,
-    "delta": float,
-    "deltas": "float_list",
-    "radii": "float_list",
-    "realizations": int,
-    "master_seed": int,
-    "tol": float,
-    "max_iter": int,
-    "constant": int,
-    "beta": float,
-    "region": float,
-    "fd_step": float,
+def _list_of(kind):
+    return lambda val: tuple(kind(v) for v in val.split(",") if v)
+
+
+def _finite(val):
+    x = float(val)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
+# config key -> (parser, the ExperimentPlan field it sets); each key's
+# default is its field's
+_PLAN_KEYS = {
+    "dimension": (int, "d"),
+    "grid": (int, "n"),
+    "grids": (_list_of(int), "grids"),
+    "lambda": (float, "lam"),
+    "gamma": (float, "gamma"),
+    "skew": (float, "nu"),
+    "delta": (float, "delta"),
+    "deltas": (_list_of(float), "deltas"),
+    "radii": (_list_of(float), "radii"),
+    "realizations": (int, "m"),
+    "master_seed": (int, "master_seed"),
+    "tol": (float, "tol"),
+    "max_iter": (int, "max_iter"),
+    "constant": (int, "constant_model"),
 }
 
-_DEFAULTS = {
-    "dimension": 2,
-    "grid": 64,
-    "grids": (),
-    "lambda": 0.25,
-    "gamma": 2.5,
-    "skew": 0.0,
-    "delta": 1.0 / 16.0,
-    "deltas": (),
-    "radii": (),
-    "realizations": 8,
-    "master_seed": 0,
-    "tol": 1e-9,
-    "max_iter": 100000,
-    "constant": 0,
-    "beta": None,  # derived from gamma unless set
-    "region": 40.5,
-    "fd_step": 1e-5,
+# config keys outside the plan -> (parser, default)
+_OTHER_KEYS = {
+    "beta": (float, None),  # derived from gamma unless set
+    "region": (_finite, 40.5),
+    "fd_step": (_finite, 1e-5),
 }
+
+_PARSERS = {key: parse
+            for key, (parse, _) in {**_PLAN_KEYS, **_OTHER_KEYS}.items()}
+_PLAN_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentPlan)}
+
+
+def _defaults():
+    cfg = {}
+    for key, (parse, name) in _PLAN_KEYS.items():
+        value = _PLAN_FIELDS[name].default
+        # a scalar in the type its key parses to: constant_model False is 0
+        cfg[key] = value if isinstance(value, tuple) else parse(value)
+    return cfg | {key: default for key, (_, default) in _OTHER_KEYS.items()}
 
 
 def parse_config(path):
     """Flat key=value lines, '#' comments; unknown keys are errors."""
-    cfg = dict(_DEFAULTS)
+    cfg = _defaults()
     if path is None:
         return cfg
     try:
@@ -93,16 +105,10 @@ def parse_config(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _SCHEMA:
+            if key not in _PARSERS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = _SCHEMA[key]
             try:
-                if kind == "int_list":
-                    cfg[key] = tuple(int(v) for v in val.split(",") if v)
-                elif kind == "float_list":
-                    cfg[key] = tuple(float(v) for v in val.split(",") if v)
-                else:
-                    cfg[key] = kind(val)
+                cfg[key] = _PARSERS[key](val)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: "
                                   f"{exc}") from exc
@@ -119,24 +125,9 @@ def _configured(make, *args, **kwargs):
 
 
 def _plan_from_config(cfg, kind):
-    return _configured(
-        ExperimentPlan,
-        kind=kind,
-        d=cfg["dimension"],
-        n=cfg["grid"],
-        lam=cfg["lambda"],
-        gamma=cfg["gamma"],
-        nu=cfg["skew"],
-        m=cfg["realizations"],
-        master_seed=cfg["master_seed"],
-        delta=cfg["delta"],
-        deltas=cfg["deltas"],
-        radii=cfg["radii"],
-        grids=cfg["grids"],
-        tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
-        constant_model=bool(cfg["constant"]),
-    )
+    return _configured(ExperimentPlan, kind=kind, **{
+        name: _PLAN_FIELDS[name].type(cfg[key])
+        for key, (_, name) in _PLAN_KEYS.items()})
 
 
 def _write_json(path, payload):

@@ -22,7 +22,6 @@ from .randomfield import CoefficientField
 __all__ = [
     "SkewField",
     "CorrectorSet",
-    "HomogenizedTensor",
     "compute_corrector",
     "compute_flux_and_ahom",
     "compute_sigma",
@@ -71,13 +70,6 @@ class SkewField:
                         continue
                     out[i, j] += _pdiff(self.component(i, j, k), k, False)
         return out
-
-
-@dataclass
-class HomogenizedTensor:
-    matrix: np.ndarray
-    ellipticity: float
-    op_norm: float
 
 
 @dataclass
@@ -144,13 +136,7 @@ def compute_flux_and_ahom(a: CoefficientField, phi, grad_phi=None):
         flux, mean = _flux(a, gp, i)
         a_hom[:, i] = mean
         q[i] = flux - mean.reshape((d,) + (1,) * d)
-    sym = (a_hom + a_hom.T) / 2
-    tensor = HomogenizedTensor(
-        a_hom,
-        ellipticity=float(np.linalg.eigvalsh(sym).min()),
-        op_norm=float(np.linalg.norm(a_hom, 2)),
-    )
-    return q, tensor
+    return q, a_hom
 
 
 def compute_sigma(q):
@@ -192,9 +178,9 @@ def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):
     """Correctors of all d directions, their fluxes, a_hom and sigma."""
     phi, reports = compute_corrector(a, opts)
     gp = np.stack([grad(phi[i]) for i in range(a.grid.d)])
-    q, tensor = compute_flux_and_ahom(a, phi, gp)
+    q, a_hom = compute_flux_and_ahom(a, phi, gp)
     sigma = compute_sigma(q)
-    return CorrectorSet(a.grid, phi, gp, q, tensor.matrix, sigma,
+    return CorrectorSet(a.grid, phi, gp, q, a_hom, sigma,
                         a.lam_eff, reports)
 
 

@@ -1,5 +1,5 @@
 """Large-scale regularity functionals: excess, non-degeneracy, mean-value
-ratios, the minimal radius, growth profiles, and gradient averages."""
+ratios, the minimal radius and growth profiles."""
 
 from dataclasses import dataclass
 
@@ -7,7 +7,7 @@ import numpy as np
 
 from .corrector import CorrectorSet, _extended_fields, extended_components
 from .elliptic import SolveOptions, solve_dirichlet_ball
-from .lattice import (Ball, GridSpec, _offsets, ball_average, ball_mask, grad,
+from .lattice import (Ball, GridSpec, _offsets, ball_mask, grad,
                       mean_ball_variance, periodic_dist_sq)
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "excess",
     "minimal_radius",
     "excess_decay_experiment",
-    "gradient_average",
     "growth_profile",
     "harmonic_quadratic",
     "dyadic_radii",
@@ -161,13 +160,6 @@ def excess_decay_experiment(a, corr: CorrectorSet, R, r_list, rng,
     else:
         slope = np.nan
     return rows, float(slope), rep
-
-
-def gradient_average(field_comp, r, grid: GridSpec, center=None):
-    """fint_{B_r(center)} of a (gradient) component against the constant
-    unit direction; full-torus average is exactly zero by periodicity."""
-    center = tuple(center) if center is not None else (0.0,) * grid.d
-    return float(ball_average(field_comp, Ball(center, float(r)), grid))
 
 
 def regime_reference(d, beta, radii):

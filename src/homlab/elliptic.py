@@ -37,15 +37,12 @@ __all__ = [
 class SolveOptions:
     tol: float = 1e-9
     max_iter: int = 100000
-    preconditioner: str = "spectral"  # "spectral" | "none"
 
     def __post_init__(self):
         if not 0.0 < self.tol <= 1e-3:
             raise ValueError("tol must lie in (0, 1e-3]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.preconditioner not in ("spectral", "none"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass
@@ -73,24 +70,21 @@ def _spectral_inverse(field: CoefficientField):
         kernels.divform_apply(b, _spectral_multiply(r, inv), cols), inv)
 
 
-def _krylov(field: CoefficientField, matvec, b, make_precond,
-            opts: SolveOptions):
+def _krylov(field: CoefficientField, matvec, b, precond, opts: SolveOptions):
     """scipy's CG for symmetric coefficients, BiCGStab otherwise, on
-    grid-shaped arrays, preconditioned by ``make_precond()`` unless
-    ``opts.preconditioner`` is "none".  Returns (x, steps completed); a
-    breakdown is not an error, the caller's recomputed residual decides."""
+    grid-shaped arrays, preconditioned by ``precond``.  Returns (x, steps
+    completed); a breakdown is not an error, the caller's recomputed
+    residual decides."""
     shape, size = b.shape, b.size
 
     def operator(f):
         return LinearOperator((size, size), dtype=np.float64,
                               matvec=lambda v: f(v.reshape(shape)).ravel())
 
-    pre = (operator(make_precond())
-           if opts.preconditioner == "spectral" else None)
     steps = []  # one entry per step, appended by scipy's callback
     solver = cg if field.is_symmetric() else bicgstab
     vec, _ = solver(operator(matvec), b.ravel(), rtol=0.1 * opts.tol,
-                    atol=0.0, maxiter=opts.max_iter, M=pre,
+                    atol=0.0, maxiter=opts.max_iter, M=operator(precond),
                     callback=lambda xk: steps.append(None))
     return vec.reshape(shape), len(steps)
 
@@ -111,8 +105,7 @@ def solve_divform_rhs(field: CoefficientField, rhs,
     def matvec(u):
         return kernels.divform_apply(field.a, u, cols)
 
-    u, it = _krylov(field, matvec, rhs, lambda: _spectral_inverse(field),
-                    opts)
+    u, it = _krylov(field, matvec, rhs, _spectral_inverse(field), opts)
     u -= u.mean()
     res = float(np.linalg.norm(matvec(u) - rhs)) / bnorm
     return u, SolveReport(it, res, res <= opts.tol)
@@ -174,9 +167,8 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return boundary.copy(), SolveReport(0, 0.0, True)
-    u_in, it = _krylov(
-        field, matvec, rhs,
-        lambda: _dirichlet_inverse(_mean_diagonal(field), inside), opts)
+    u_in, it = _krylov(field, matvec, rhs,
+                       _dirichlet_inverse(_mean_diagonal(field), inside), opts)
     u = boundary.copy()
     u[box] = np.where(inside, u_in, boundary[box])
     # every ball row's stencil lies in the box (see ``_ball_box``), so the

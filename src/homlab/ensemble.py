@@ -11,9 +11,9 @@ from scipy.fft import fftfreq, rfftfreq
 from .corrector import (build_corrector_set, compute_corrector,
                         extended_components)
 from .diagnostics import (dyadic_radii, excess_decay_experiment,
-                          growth_profile, gradient_average, minimal_radius)
+                          growth_profile, minimal_radius)
 from .elliptic import SolveOptions, solve_divform_rhs
-from .lattice import GridSpec, grad, spectral_solve
+from .lattice import Ball, GridSpec, ball_average, grad, spectral_solve
 from .randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
                           beta_effective, constant_coefficients,
                           sample_gaussian, to_coefficients)
@@ -26,7 +26,6 @@ __all__ = [
     "fit_power_law",
     "fit_tail",
     "fit_linear",
-    "bootstrap_slope",
     "records_to_csv",
     "summarize",
 ]
@@ -120,12 +119,13 @@ def _aux_rng(plan, index):
 
 def _run_scaling(plan, index):
     a = sample_coefficients(plan, index)
-    opts = plan.opts()
-    phi, _ = compute_corrector(a, opts, directions=[0])
+    phi, _ = compute_corrector(a, plan.opts(), directions=[0])
     comp = grad(phi[0])[0]  # d_1 phi_1
+    grid = plan.grid()
     vals = {}
     for r in plan.effective_radii():
-        vals[f"A_r{r:g}"] = gradient_average(comp, r, plan.grid())
+        ball = Ball((0.0,) * grid.d, float(r))
+        vals[f"A_r{r:g}"] = float(ball_average(comp, ball, grid))
     return vals
 
 
@@ -337,32 +337,6 @@ def fit_tail(samples, exponent):
     fit = _least_squares(np.array(xs), np.array(ys),
                          "stretched-exponential tail")
     return fit
-
-
-def bootstrap_slope(pairs, n_boot=1000, seed=0, log=True):
-    """Bootstrap confidence interval for the fitted slope (no
-    distributional assumption); raises ValueError unless some resample has
-    2 distinct x, and on nonpositive data under ``log``."""
-    rng = np.random.default_rng(seed)
-    pairs = np.asarray(pairs, dtype=np.float64)
-    if log and np.any(pairs <= 0):
-        raise ValueError("log-log bootstrap needs positive data")
-    m = pairs.shape[0]
-    slopes = []
-    for _ in range(n_boot):
-        pick = rng.integers(0, m, size=m)
-        sub = pairs[pick]
-        if len(np.unique(sub[:, 0])) < 2:
-            continue
-        x = np.log(sub[:, 0]) if log else sub[:, 0]
-        y = np.log(sub[:, 1]) if log else sub[:, 1]
-        slopes.append(np.polyfit(x, y, 1)[0])
-    if not slopes:
-        raise ValueError("no resample has 2 distinct x")
-    slopes = np.sort(slopes)
-    lo = slopes[int(0.025 * len(slopes))]
-    hi = slopes[int(0.975 * len(slopes))]
-    return float(lo), float(hi)
 
 
 def records_to_csv(records):

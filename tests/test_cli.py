@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 from homlab import cli
 from homlab.cli import main, parse_config
+from homlab.ensemble import ExperimentPlan
 
 
 def _write(tmp_path, text, name="cfg.txt"):
@@ -16,8 +18,23 @@ def _write(tmp_path, text, name="cfg.txt"):
 
 class TestConfig:
     def test_defaults_when_missing(self):
+        want = {"dimension": 2, "grid": 64, "grids": (), "lambda": 0.25,
+                "gamma": 2.5, "skew": 0.0, "delta": 0.0625, "deltas": (),
+                "radii": (), "realizations": 8, "master_seed": 0,
+                "tol": 1e-9, "max_iter": 100000, "constant": 0,
+                "beta": None, "region": 40.5, "fd_step": 1e-5}
         cfg = parse_config(None)
-        assert cfg["dimension"] == 2
+        assert cfg == want
+        assert ({k: type(v) for k, v in cfg.items()}
+                == {k: type(v) for k, v in want.items()})
+
+    def test_every_plan_field_has_one_key(self):
+        fields = sorted(name for _, name in cli._PLAN_KEYS.values())
+        assert fields == sorted(f.name for f in dataclasses.fields(
+            ExperimentPlan) if f.name != "kind")
+        for kind in ("scaling", "growth"):
+            assert (cli._plan_from_config(parse_config(None), kind)
+                    == ExperimentPlan(kind=kind))
 
     def test_parse_types_and_comments(self, tmp_path):
         path = _write(tmp_path, """
@@ -88,6 +105,8 @@ class TestExitCodes:
         ("dimension = 1\nregion = 4.5\n", ["partition-check"]),
         ("dimension = 4\nregion = 4.5\n", ["partition-check"]),
         ("dimension = 0\nregion = 4.5\n", ["partition-check"]),
+        ("fd_step = inf\n", ["sensitivity-check"]),
+        ("region = inf\n", ["partition-check"]),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, text, command):
         cfg = _write(tmp_path, text)

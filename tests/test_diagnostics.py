@@ -3,12 +3,12 @@ import pytest
 
 from homlab.corrector import build_corrector_set, extended_components
 from homlab.diagnostics import (DegenerateGramError, dyadic_radii, excess,
-                                excess_decay_experiment, gradient_average,
-                                growth_profile, harmonic_quadratic,
-                                minimal_radius, regime_reference)
+                                excess_decay_experiment, growth_profile,
+                                harmonic_quadratic, minimal_radius,
+                                regime_reference)
 from homlab.elliptic import SolveOptions
 from homlab.lattice import (Ball, GridSpec, ball_average, ball_mask,
-                            ball_mean_field, grad)
+                            ball_mean_field)
 from homlab.randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
                                 constant_coefficients, sample_gaussian,
                                 to_coefficients)
@@ -198,13 +198,6 @@ class TestDecayExperiment:
             a, corr, R=16.0, r_list=[2.0, 4.0, 8.0], rng=rng, opts=OPTS)
         assert rep.converged
         assert 1.8 < slope < 2.2
-
-    def test_gradient_average_full_torus(self):
-        a, corr = _corr(5)
-        comp = grad(corr.phi[0])[0]
-        # ball averages shrink as the ball grows toward the full torus
-        small = abs(gradient_average(comp, 2.0, GRID))
-        assert np.isfinite(small)
 
 
 class TestGrowth:

@@ -6,9 +6,9 @@ import pytest
 
 from homlab import diagnostics, ensemble, kernels
 from homlab.elliptic import SolveReport
-from homlab.ensemble import (ExperimentPlan, bootstrap_slope, fit_linear,
-                             fit_power_law, fit_tail, records_to_csv,
-                             run_ensemble, sample_coefficients, summarize)
+from homlab.ensemble import (ExperimentPlan, fit_linear, fit_power_law,
+                             fit_tail, records_to_csv, run_ensemble,
+                             sample_coefficients, summarize)
 
 
 class TestPlan:
@@ -76,29 +76,6 @@ class TestFits:
         fit = fit_linear(x, 2.0 * x + 1.0)
         assert np.isclose(fit.slope, 2.0)
         assert fit.r_squared == 1.0
-
-    def test_bootstrap_brackets_slope(self):
-        rng = np.random.default_rng(1)
-        r = np.geomspace(2.0, 64.0, 20)
-        y = r**-1.0 * np.exp(0.05 * rng.standard_normal(20))
-        lo, hi = bootstrap_slope(np.column_stack([r, y]))
-        assert lo <= -1.0 <= hi
-
-    @pytest.mark.parametrize("pairs, n_boot", [
-        ([[4.0, 1.0], [4.0, 2.0], [4.0, 3.0]], 1000),   # one distinct x
-        ([[4.0, 1.0]], 1000),                            # one pair
-        ([[2.0, 1.0], [4.0, 2.0]], 1),   # the one resample repeats a pair
-    ])
-    def test_bootstrap_needs_two_distinct_x(self, pairs, n_boot):
-        with pytest.raises(ValueError, match="distinct x"):
-            bootstrap_slope(pairs, n_boot=n_boot)
-
-    def test_bootstrap_nonpositive_rejected(self):
-        pairs = [[2.0, 1.0], [4.0, 2.0], [8.0, 3.0], [16.0, -1.0]]
-        with pytest.raises(ValueError, match="positive"):
-            bootstrap_slope(pairs)
-        lo, hi = bootstrap_slope(pairs, log=False)
-        assert np.isfinite(lo) and np.isfinite(hi)
 
 
 class TestTailFit:
