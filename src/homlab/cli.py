@@ -15,7 +15,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .corrector import build_corrector_set, save_corrector_set
+from .corrector import (build_corrector_set, extended_components,
+                        save_corrector_set)
 from .diagnostics import growth_profile, minimal_radius
 from .ensemble import (KINDS, ExperimentPlan, records_to_csv, run_ensemble,
                        sample_coefficients, summarize)
@@ -41,11 +42,18 @@ def _list_of(kind):
     return lambda val: tuple(kind(v) for v in val.split(",") if v)
 
 
-def _finite(val):
-    x = float(val)
-    if not math.isfinite(x):
-        raise ValueError(f"must be finite, got {x}")
-    return x
+def _checked(kind, ok, what):
+    """A parser to ``kind`` that takes only the values ``ok`` accepts."""
+    def parse(val):
+        x = kind(val)
+        if not ok(x):
+            raise ValueError(f"must be {what}, got {x}")
+        return x
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "finite")
+_flag = _checked(int, (0, 1).__contains__, "0 or 1")
 
 
 # config key -> (parser, the ExperimentPlan field it sets); each key's
@@ -54,22 +62,22 @@ _PLAN_KEYS = {
     "dimension": (int, "d"),
     "grid": (int, "n"),
     "grids": (_list_of(int), "grids"),
-    "lambda": (float, "lam"),
-    "gamma": (float, "gamma"),
-    "skew": (float, "nu"),
-    "delta": (float, "delta"),
-    "deltas": (_list_of(float), "deltas"),
-    "radii": (_list_of(float), "radii"),
+    "lambda": (_finite, "lam"),
+    "gamma": (_finite, "gamma"),
+    "skew": (_finite, "nu"),
+    "delta": (_finite, "delta"),
+    "deltas": (_list_of(_finite), "deltas"),
+    "radii": (_list_of(_finite), "radii"),
     "realizations": (int, "m"),
     "master_seed": (int, "master_seed"),
-    "tol": (float, "tol"),
+    "tol": (_finite, "tol"),
     "max_iter": (int, "max_iter"),
-    "constant": (int, "constant_model"),
+    "constant": (_flag, "constant_model"),
 }
 
 # config keys outside the plan -> (parser, default)
 _OTHER_KEYS = {
-    "beta": (float, None),  # derived from gamma unless set
+    "beta": (_finite, None),  # derived from gamma unless set
     "region": (_finite, 40.5),
     "fd_step": (_finite, 1e-5),
 }
@@ -179,7 +187,8 @@ def cmd_diagnose(cfg, outdir):
     a = sample_coefficients(plan, 0)
     corr = build_corrector_set(a, plan.opts())
     radii = plan.effective_radii()
-    prof = growth_profile(corr, radii, plan.beta_eff)
+    prof = growth_profile(extended_components(corr.phi, corr.sigma),
+                          corr.grid, radii, plan.beta_eff)
     rep = minimal_radius(corr, plan.delta)
     lines = ["radius,V,reference"]
     for r, v, g in zip(prof.radii, prof.values, prof.reference):

@@ -104,12 +104,15 @@ def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
 
 
 def _flux(a: CoefficientField, grad_phi_i, i):
-    """a (grad phi_i + e_i) and its torus mean; ``grad_phi_i`` is kept."""
+    """q_i = a (grad phi_i + e_i) minus its torus mean, and that mean;
+    ``grad_phi_i`` is kept."""
     d = a.grid.d
     gp = grad_phi_i.copy()
     gp[i] += 1.0
     flux = np.einsum("pq...,q...->p...", a.a, gp)
-    return flux, flux.reshape(d, -1).mean(axis=1)
+    mean = flux.reshape(d, -1).mean(axis=1)
+    flux -= mean.reshape((d,) + (1,) * d)
+    return flux, mean
 
 
 def _curl(q_i, j, k):
@@ -133,45 +136,56 @@ def compute_flux_and_ahom(a: CoefficientField, phi, grad_phi=None):
     a_hom = np.zeros((d, d))
     for i in range(d):
         gp = grad(phi[i]) if grad_phi is None else grad_phi[i]
-        flux, mean = _flux(a, gp, i)
-        a_hom[:, i] = mean
-        q[i] = flux - mean.reshape((d,) + (1,) * d)
+        q[i], a_hom[:, i] = _flux(a, gp, i)
     return q, a_hom
+
+
+def _sigma_rows(q):
+    """sigma_ijk for each q_i of ``q`` in turn and its pairs j < k in order,
+    each solved when it is reached."""
+    for q_i in q:
+        for j, k in _pairs(q_i.shape[0]):
+            yield poisson_solve(_curl(q_i, j, k))
+        del q_i  # before a stream makes the next one
 
 
 def compute_sigma(q):
     """sigma_ijk solving -lap sigma_ijk = d_j q_ik - d_k q_ij with forward
     differences on the right; spectrally exact, zero mean."""
     d = q.shape[0]
-    shape = q.shape[2:]
-    pairs = _pairs(d)
-    vals = np.zeros((d, len(pairs)) + shape)
-    for i in range(d):
-        for p, (j, k) in enumerate(pairs):
-            vals[i, p] = poisson_solve(_curl(q[i], j, k))
+    vals = np.zeros((d, len(_pairs(d))) + q.shape[2:])
+    rows = vals.reshape((-1,) + q.shape[2:])
+    for p, values in enumerate(_sigma_rows(q)):
+        rows[p] = values
     return SkewField(vals, d)
 
 
 def sigma_component(a: CoefficientField, phi_i, i, j, k):
     """The one component sigma_ijk, from phi_i alone: the flux q_i and a
     single Poisson solve, equal to ``compute_sigma``'s."""
-    d = a.grid.d
-    flux, mean = _flux(a, grad(phi_i), i)
-    return poisson_solve(_curl(flux - mean.reshape((d,) + (1,) * d), j, k))
+    return poisson_solve(_curl(_flux(a, grad(phi_i), i)[0], j, k))
 
 
-def _extended_fields(phi, sigma: SkewField):
-    """The rows of ``extended_components``, each made when it is reached."""
+def _extended_fields(phi, sigma_rows):
+    """phi's rows, then sqrt(2) times each sigma row, made when reached."""
     yield from phi
-    for values in sigma.values.reshape((-1,) + phi.shape[1:]):
+    for values in sigma_rows:
         yield values * np.sqrt(2.0)
+
+
+def _streamed_fields(a: CoefficientField, phi):
+    """``_extended_fields(phi, compute_sigma(q))`` without q or sigma held
+    whole: each q_i is made from phi_i when its sigma rows are reached."""
+    q = (_flux(a, grad(phi_i), i)[0] for i, phi_i in enumerate(phi))
+    return _extended_fields(phi, _sigma_rows(q))
 
 
 def extended_components(phi, sigma: SkewField):
     """Stacked components of the extended corrector (phi, sigma) scaled so
     that the plain sum of squares equals |(phi, sigma)|^2 (each unordered
     sigma pair stands for both orderings, hence the sqrt(2) weight)."""
-    return np.stack(list(_extended_fields(phi, sigma)))
+    rows = sigma.values.reshape((-1,) + phi.shape[1:])
+    return np.stack(list(_extended_fields(phi, rows)))
 
 
 def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):

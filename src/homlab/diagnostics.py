@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import CorrectorSet, _extended_fields, extended_components
+from .corrector import CorrectorSet, extended_components
 from .elliptic import SolveOptions, solve_dirichlet_ball
 from .lattice import (Ball, GridSpec, _offsets, ball_mask, grad,
                       mean_ball_variance, periodic_dist_sq)
@@ -173,14 +173,13 @@ def regime_reference(d, beta, radii):
     return radii ** (d * (beta - 1.0 + 2.0 / d)), "growing"
 
 
-def growth_profile(corr: CorrectorSet, radii, beta=0.0):
+def growth_profile(fields, grid: GridSpec, radii, beta=0.0):
     """Centered ball variance of (phi, sigma) as a function of R, averaged
-    over all torus centers (by Parseval, so every center contributes)."""
-    grid = corr.grid
+    over all torus centers (by Parseval, so every center contributes), of
+    ``fields``: the rows of ``extended_components``, or a stream of them."""
     radii = np.asarray(radii, dtype=np.float64)
     if np.any(radii > grid.n / 8):
         raise ValueError("growth radii must stay <= L/8")
-    vals = mean_ball_variance(_extended_fields(corr.phi, corr.sigma), radii,
-                              grid)
+    vals = mean_ball_variance(fields, radii, grid)
     ref, regime = regime_reference(grid.d, beta, radii)
     return GrowthProfile(radii, vals, ref, regime)

@@ -98,6 +98,8 @@ def solve_divform_rhs(field: CoefficientField, rhs,
     rhs = np.asarray(rhs, dtype=np.float64)
     rhs = rhs - rhs.mean()
     bnorm = float(np.linalg.norm(rhs))
+    if not math.isfinite(bnorm):  # a Krylov solve would not stop on it
+        raise RuntimeError(f"right-hand side is not finite: {bnorm}")
     if bnorm == 0.0:
         return np.zeros(grid.shape), SolveReport(0, 0.0, True)
     cols = kernels.coupled_columns(field.a)
@@ -165,6 +167,8 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
     bc = np.where(inside, 0.0, boundary[box])
     rhs = np.where(inside, -kernels.divform_apply(a, bc, cols), 0.0)
     bnorm = float(np.linalg.norm(rhs))
+    if not math.isfinite(bnorm):
+        raise RuntimeError(f"right-hand side is not finite: {bnorm}")
     if bnorm == 0.0:
         return boundary.copy(), SolveReport(0, 0.0, True)
     u_in, it = _krylov(field, matvec, rhs,

@@ -253,8 +253,10 @@ def load_field(path):
         header = np.fromfile(fh, dtype=_MAGIC_DTYPE, count=3)
         d, n, ncomp = (int(v) for v in header)
         data = np.fromfile(fh, dtype="<f8")
-    expect = ncomp * n**d
-    if data.size != expect:
-        raise ValueError(f"corrupt field file {path}: {data.size} != {expect}")
+    size = data.size  # bounds d before n**d: n >= 2 makes n**d >= 2**d
+    if not (0 < n <= size and 0 < ncomp <= size
+            and 0 < d <= size.bit_length() and ncomp * n**d == size):
+        raise ValueError(f"corrupt field file {path}: header "
+                         f"{(d, n, ncomp)} for {size} values")
     arr = data.reshape((ncomp,) + (n,) * d)
     return arr[0] if ncomp == 1 else arr

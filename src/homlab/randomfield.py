@@ -43,8 +43,9 @@ class CovarianceSpec:
     beta_target: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < np.inf:  # also false for nan
+            raise ValueError(f"gamma must be positive and finite, got "
+                             f"{self.gamma}")
         if not 0.0 <= self.beta_target < 1.0:
             raise ValueError("beta_target must lie in [0, 1)")
 
@@ -81,7 +82,7 @@ class CoefficientModel:
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lambda must lie in (0, 1)")
         nu_max = (1.0 - self.lam) / 2.0
-        if self.skew_amplitude < 0.0 or self.skew_amplitude > nu_max:
+        if not 0.0 <= self.skew_amplitude <= nu_max:  # also false for nan
             raise ValueError(
                 f"skew amplitude must lie in [0, {nu_max}] for lambda="
                 f"{self.lam} to keep the symmetric part elliptic")

@@ -107,6 +107,12 @@ class TestExitCodes:
         ("dimension = 0\nregion = 4.5\n", ["partition-check"]),
         ("fd_step = inf\n", ["sensitivity-check"]),
         ("region = inf\n", ["partition-check"]),
+        ("grid = 16\ngamma = nan\n", ["sample"]),
+        ("grid = 16\nskew = nan\n", ["sample"]),
+        ("grid = 16\nconstant = 3\n", ["sample"]),
+        ("grid = 16\nbeta = nan\n", ["sample"]),
+        ("grid = 16\ngamma = inf\n", ["sample"]),
+        ("grid = 16\nradii = 2, nan\n", ["sample"]),
     ])
     def test_bad_values_are_config_errors(self, tmp_path, text, command):
         cfg = _write(tmp_path, text)

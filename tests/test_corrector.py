@@ -38,6 +38,14 @@ def _laminate(vals, n=32):
 
 
 class TestCorrector:
+    def test_nonfinite_coefficient_fails_before_krylov(self):
+        # a nan cell makes the right-hand side div(a e_1) nan; the solve
+        # raises at once instead of running its Krylov steps on it
+        a = _random_field(1)
+        a.a[0, 0, 5, 7] = np.nan
+        with pytest.raises(RuntimeError, match="not finite"):
+            compute_corrector(a, SolveOptions(max_iter=50))
+
     def test_constant_coefficients_zero(self):
         a = constant_coefficients(GRID, 0.7 * np.eye(2))
         phi, reports = compute_corrector(a, OPTS)
@@ -200,17 +208,30 @@ class TestExtended:
         assert np.isclose(got, full)
 
     def test_growth_profile_streams_the_same_components(self):
-        # the profile takes the scaled components one at a time; they and
-        # their ball variances equal the stacked ones bit for bit
+        # the profile takes the scaled components one at a time; its
+        # values from the stream equal the stacked ones bit for bit
         a = _random_field(9, nu=0.1)
         corr = build_corrector_set(a, OPTS)
         comps = extended_components(corr.phi, corr.sigma)
-        rows = list(homlab.corrector._extended_fields(corr.phi, corr.sigma))
-        assert len(rows) == len(comps)
-        assert all(np.array_equal(r, c) for r, c in zip(rows, comps))
         radii = (1.0, 2.0, 4.0)
         want = mean_ball_variance(comps, radii, GRID)
-        assert np.array_equal(growth_profile(corr, radii).values, want)
+        stream = homlab.corrector._streamed_fields(a, corr.phi)
+        assert np.array_equal(growth_profile(stream, GRID, radii).values,
+                              want)
+        assert np.array_equal(growth_profile(comps, GRID, radii).values,
+                              want)
+
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 16)])
+    def test_streamed_rows_equal_the_stacked_ones(self, grid):
+        # each sigma row is solved from its own q_i, with neither q nor
+        # sigma held whole, in the order and arithmetic of compute_sigma
+        a = _random_field(11, nu=0.1, grid=grid)
+        phi, _ = compute_corrector(a, OPTS)
+        q, _ = compute_flux_and_ahom(a, phi)
+        want = extended_components(phi, compute_sigma(q))
+        rows = list(homlab.corrector._streamed_fields(a, phi))
+        assert len(rows) == len(want)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, want))
 
 
 class TestIO:

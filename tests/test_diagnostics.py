@@ -212,7 +212,8 @@ class TestGrowth:
 
     def test_profile_monotone(self):
         a, corr = _corr(6)
-        prof = growth_profile(corr, [2.0, 4.0, 8.0], beta=0.0)
+        prof = growth_profile(extended_components(corr.phi, corr.sigma),
+                              corr.grid, [2.0, 4.0, 8.0], beta=0.0)
         assert prof.regime == "critical"
         assert np.all(np.diff(prof.values) > 0.0)  # variance grows with R
 
@@ -224,15 +225,17 @@ class TestGrowth:
         a = to_coefficients(g, CoefficientModel(0.25, 0.0), None, grid)
         corr = build_corrector_set(a, OPTS)
         radii = [1.0, 2.0, n / 8]
-        got = growth_profile(corr, radii).values
+        comps = extended_components(corr.phi, corr.sigma)
+        got = growth_profile(comps, grid, radii).values
         want = _growth_by_ball_means(corr, radii)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         # a single-cell ball has no variance
-        comps = extended_components(corr.phi, corr.sigma)
         total = sum(float(np.mean(c**2)) for c in comps)
-        assert abs(growth_profile(corr, [0.5]).values[0]) <= 1e-12 * total
+        single = growth_profile(comps, grid, [0.5]).values[0]
+        assert abs(single) <= 1e-12 * total
 
     def test_radius_cap(self):
         a, corr = _corr(6)
         with pytest.raises(ValueError):
-            growth_profile(corr, [32.0], beta=0.0)
+            growth_profile(extended_components(corr.phi, corr.sigma),
+                           corr.grid, [32.0], beta=0.0)

@@ -210,6 +210,13 @@ class TestDivformReference:
 
 
 class TestDirichletBall:
+    def test_nonfinite_boundary_fails_before_krylov(self):
+        a = constant_coefficients(GRID)
+        boundary = np.full(GRID.shape, np.nan)
+        with pytest.raises(RuntimeError, match="not finite"):
+            solve_dirichlet_ball(a, Ball((16.0, 16.0), 4.0), boundary,
+                                 SolveOptions(max_iter=50))
+
     def test_boundary_preserved(self):
         a = _random_field(6)
         ball = Ball((0.0, 0.0), 6.0)

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ class TestPlan:
     @pytest.mark.parametrize("bad", [
         dict(radii=(0.25,)), dict(grids=(16, 15)), dict(delta=0.0),
         dict(deltas=(0.1, -0.1)), dict(tol=0.1), dict(max_iter=0),
-        dict(lam=1.5), dict(nu=0.5), dict(gamma=0.0), dict(gamma=1.5)])
+        dict(lam=1.5), dict(nu=0.5), dict(gamma=0.0), dict(gamma=1.5),
+        dict(gamma=np.nan), dict(gamma=np.inf), dict(nu=np.nan)])
     def test_config_values_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             ExperimentPlan(**dict(dict(kind="scaling", n=32), **bad))
@@ -46,6 +48,24 @@ class TestPlan:
         a2 = sample_coefficients(plan, 0)
         assert np.array_equal(a1.a, a2.a)
         assert not np.array_equal(a1.a, sample_coefficients(plan, 1).a)
+
+
+class TestGrowthMemory:
+    def test_realization_holds_no_stacked_sigma(self):
+        # a growth realization keeps a, phi and a bounded number of grid
+        # temporaries; stacking grad phi, q and sigma (27 grid fields in
+        # 3D) put its traced peak near 43 grid fields
+        plan = ExperimentPlan(kind="growth", d=3, n=32, gamma=3.5, m=2,
+                              radii=(2.0, 4.0))
+        ensemble._run_growth(plan, 0)  # the cached FFT multipliers
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ensemble._run_growth(plan, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * 32**3 * 8
 
 
 class TestFits:

@@ -236,6 +236,16 @@ class TestIO:
         save_field(p, u, 3)
         assert np.array_equal(load_field(p).reshape(u.shape), u)
 
+    @pytest.mark.parametrize("content", [
+        np.array([10**18, 2, 1], dtype="<i8").tobytes() + bytes(128),
+        b"r,covariance\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"])
+    def test_header_checked_before_its_power(self, tmp_path, content):
+        # n**d of a header that no data size can match would not end
+        p = tmp_path / "bad.bin"
+        p.write_bytes(content)
+        with pytest.raises(ValueError, match="corrupt field file"):
+            load_field(p)
+
     def test_corrupt_rejected(self, tmp_path):
         p = tmp_path / "bad.bin"
         save_field(p, _rng(10).standard_normal((8, 8)), 2)
