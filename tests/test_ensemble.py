@@ -57,7 +57,7 @@ class TestGrowthMemory:
         # 3D) put its traced peak near 43 grid fields
         plan = ExperimentPlan(kind="growth", d=3, n=32, gamma=3.5, m=2,
                               radii=(2.0, 4.0))
-        ensemble._run_growth(plan, 0)  # the cached FFT multipliers
+        ensemble._run_growth(plan, 0)  # caches its multipliers untraced
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
