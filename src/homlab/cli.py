@@ -15,7 +15,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .corrector import (build_corrector_set, extended_components,
+from .corrector import (build_corrector_set, extended_spectra,
                         save_corrector_set)
 from .diagnostics import growth_profile, minimal_radius
 from .ensemble import (KINDS, ExperimentPlan, records_to_csv, run_ensemble,
@@ -187,12 +187,12 @@ def cmd_diagnose(cfg, outdir):
     a = sample_coefficients(plan, 0)
     corr = build_corrector_set(a, plan.opts())
     radii = plan.effective_radii()
-    prof = growth_profile(extended_components(corr.phi, corr.sigma),
+    prof = growth_profile(extended_spectra(corr.phi, corr.sigma),
                           corr.grid, radii, plan.beta_eff)
     rep = minimal_radius(corr, plan.delta)
     lines = ["radius,V,reference"]
     for r, v, g in zip(prof.radii, prof.values, prof.reference):
-        lines.append(f"{r!r},{v!r},{g!r}")
+        lines.append(",".join(repr(float(x)) for x in (r, v, g)))
     _write_text(os.path.join(outdir, "growth.csv"), "\n".join(lines) + "\n")
     payload = {
         "schema": 1,

@@ -6,6 +6,8 @@ q_i = a (grad phi_i + e_i) - a_hom e_i with a_hom e_i the torus mean of
 a (grad phi_i + e_i), and the flux corrector sigma_ijk solves
 -lap sigma_ijk = d_j q_ik - d_k q_ij spectrally (forward differences on the
 right, so that div sigma_i = q_i holds up to the corrector residual).
+Growth profiles read the components' rfft half spectra; a growth
+realization takes each sigma row's straight from its right-hand side.
 """
 
 import json
@@ -13,10 +15,11 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import rfftn
 
 from .elliptic import SolveOptions, solve_divform
-from .lattice import (GridSpec, _pdiff, grad, load_field, poisson_solve,
-                      save_field)
+from .lattice import (GridSpec, _inverse_laplacian, _pdiff, grad, load_field,
+                      poisson_solve, save_field)
 from .randomfield import CoefficientField
 
 __all__ = [
@@ -28,6 +31,7 @@ __all__ = [
     "sigma_component",
     "build_corrector_set",
     "extended_components",
+    "extended_spectra",
     "save_corrector_set",
     "load_corrector_set",
 ]
@@ -105,11 +109,10 @@ def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
 
 def _flux(a: CoefficientField, grad_phi_i, i):
     """q_i = a (grad phi_i + e_i) minus its torus mean, and that mean;
-    ``grad_phi_i`` is kept."""
+    ``grad_phi_i`` is overwritten."""
     d = a.grid.d
-    gp = grad_phi_i.copy()
-    gp[i] += 1.0
-    flux = np.einsum("pq...,q...->p...", a.a, gp)
+    grad_phi_i[i] += 1.0
+    flux = np.einsum("pq...,q...->p...", a.a, grad_phi_i)
     mean = flux.reshape(d, -1).mean(axis=1)
     flux -= mean.reshape((d,) + (1,) * d)
     return flux, mean
@@ -135,17 +138,17 @@ def compute_flux_and_ahom(a: CoefficientField, phi, grad_phi=None):
     q = np.zeros((d, d) + a.grid.shape)
     a_hom = np.zeros((d, d))
     for i in range(d):
-        gp = grad(phi[i]) if grad_phi is None else grad_phi[i]
+        gp = grad(phi[i]) if grad_phi is None else grad_phi[i].copy()
         q[i], a_hom[:, i] = _flux(a, gp, i)
     return q, a_hom
 
 
-def _sigma_rows(q):
-    """sigma_ijk for each q_i of ``q`` in turn and its pairs j < k in order,
-    each solved when it is reached."""
+def _curls(q):
+    """The right-hand side of sigma_ijk for each q_i of ``q`` in turn and its
+    pairs j < k in order, each made when it is reached."""
     for q_i in q:
         for j, k in _pairs(q_i.shape[0]):
-            yield poisson_solve(_curl(q_i, j, k))
+            yield _curl(q_i, j, k)
         del q_i  # before a stream makes the next one
 
 
@@ -155,8 +158,8 @@ def compute_sigma(q):
     d = q.shape[0]
     vals = np.zeros((d, len(_pairs(d))) + q.shape[2:])
     rows = vals.reshape((-1,) + q.shape[2:])
-    for p, values in enumerate(_sigma_rows(q)):
-        rows[p] = values
+    for p, curl in enumerate(_curls(q)):
+        rows[p] = poisson_solve(curl)
     return SkewField(vals, d)
 
 
@@ -166,26 +169,34 @@ def sigma_component(a: CoefficientField, phi_i, i, j, k):
     return poisson_solve(_curl(_flux(a, grad(phi_i), i)[0], j, k))
 
 
-def _extended_fields(phi, sigma_rows):
+def _extended_rows(phi, sigma: SkewField):
     """phi's rows, then sqrt(2) times each sigma row, made when reached."""
     yield from phi
-    for values in sigma_rows:
+    for values in sigma.values.reshape((-1,) + phi.shape[1:]):
         yield values * np.sqrt(2.0)
 
 
-def _streamed_fields(a: CoefficientField, phi):
-    """``_extended_fields(phi, compute_sigma(q))`` without q or sigma held
-    whole: each q_i is made from phi_i when its sigma rows are reached."""
+def _streamed_spectra(a: CoefficientField, phi):
+    """rfftn of each row of ``extended_components(phi, compute_sigma(q))``,
+    each q_i made from phi_i when reached and each sigma row's spectrum
+    sqrt(2) K^-1 rfftn(curl), with neither q nor sigma held whole."""
+    yield from map(rfftn, phi)
+    mult = np.sqrt(2.0) * _inverse_laplacian(phi.shape[1:])
     q = (_flux(a, grad(phi_i), i)[0] for i, phi_i in enumerate(phi))
-    return _extended_fields(phi, _sigma_rows(q))
+    for spec in map(rfftn, _curls(q)):
+        yield np.multiply(spec, mult, out=spec)
 
 
 def extended_components(phi, sigma: SkewField):
     """Stacked components of the extended corrector (phi, sigma) scaled so
     that the plain sum of squares equals |(phi, sigma)|^2 (each unordered
     sigma pair stands for both orderings, hence the sqrt(2) weight)."""
-    rows = sigma.values.reshape((-1,) + phi.shape[1:])
-    return np.stack(list(_extended_fields(phi, rows)))
+    return np.stack(list(_extended_rows(phi, sigma)))
+
+
+def extended_spectra(phi, sigma: SkewField):
+    """rfftn of each row of ``extended_components``, made when reached."""
+    return map(rfftn, _extended_rows(phi, sigma))
 
 
 def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):

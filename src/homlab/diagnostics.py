@@ -173,13 +173,13 @@ def regime_reference(d, beta, radii):
     return radii ** (d * (beta - 1.0 + 2.0 / d)), "growing"
 
 
-def growth_profile(fields, grid: GridSpec, radii, beta=0.0):
+def growth_profile(spectra, grid: GridSpec, radii, beta=0.0):
     """Centered ball variance of (phi, sigma) as a function of R, averaged
-    over all torus centers (by Parseval, so every center contributes), of
-    ``fields``: the rows of ``extended_components``, or a stream of them."""
+    over all torus centers (by Parseval, so every center contributes), from
+    the rows' rfft half spectra, as ``extended_spectra`` yields them."""
     radii = np.asarray(radii, dtype=np.float64)
     if np.any(radii > grid.n / 8):
         raise ValueError("growth radii must stay <= L/8")
-    vals = mean_ball_variance(fields, radii, grid)
+    vals = mean_ball_variance(spectra, radii, grid)
     ref, regime = regime_reference(grid.d, beta, radii)
     return GrowthProfile(radii, vals, ref, regime)

@@ -60,21 +60,27 @@ def _mean_diagonal(field: CoefficientField):
 def _spectral_inverse(field: CoefficientField):
     """The torus preconditioner of the module docstring; the zero mode is
     projected out."""
-    d = field.grid.d
+    a, d = field.a, field.grid.d
     inv = _inverse_laplacian(field.grid.shape)
-    # b[i, j] broadcasts 1/a_ii; the diagonal columns are the only ones read
-    diag = 1.0 / np.einsum("ii...->i...", field.a)
-    b = np.broadcast_to(diag[:, None], (d,) + diag.shape)
+    # b[i, j] broadcasts 1/a_ii, the only blocks read; equal diagonal blocks,
+    # as in every sampled field, share one
+    same = all(np.array_equal(a[i, i], a[0, 0]) for i in range(1, d))
+    diag = 1.0 / (a[0, 0][None] if same else np.einsum("ii...->i...", a))
+    b = np.broadcast_to(diag[:, None], (d, d) + diag.shape[1:])
     cols = tuple((i,) for i in range(d))
     return lambda r: _spectral_multiply(
         kernels.divform_apply(b, _spectral_multiply(r, inv), cols), inv)
 
 
+class _NonFinite(Exception):
+    """Raised from the Krylov callback with a non-finite iterate."""
+
+
 def _krylov(field: CoefficientField, matvec, b, precond, opts: SolveOptions):
     """scipy's CG for symmetric coefficients, BiCGStab otherwise, on
     grid-shaped arrays, preconditioned by ``precond``.  Returns (x, steps
-    completed); a breakdown is not an error, the caller's recomputed
-    residual decides."""
+    completed); a breakdown or a non-finite iterate is not an error, the
+    caller's recomputed residual decides."""
     shape, size = b.shape, b.size
 
     def operator(f):
@@ -82,26 +88,34 @@ def _krylov(field: CoefficientField, matvec, b, precond, opts: SolveOptions):
                               matvec=lambda v: f(v.reshape(shape)).ravel())
 
     steps = []  # one entry per step, appended by scipy's callback
+
+    def callback(xk):
+        steps.append(None)
+        if not math.isfinite(xk[0]):  # non-finite spreads to every entry
+            raise _NonFinite(xk)
+
     solver = cg if field.is_symmetric() else bicgstab
-    vec, _ = solver(operator(matvec), b.ravel(), rtol=0.1 * opts.tol,
-                    atol=0.0, maxiter=opts.max_iter, M=operator(precond),
-                    callback=lambda xk: steps.append(None))
+    try:
+        vec, _ = solver(operator(matvec), b.ravel(), rtol=0.1 * opts.tol,
+                        atol=0.0, maxiter=opts.max_iter, M=operator(precond),
+                        callback=callback)
+    except _NonFinite as stop:
+        vec = stop.args[0]
     return vec.reshape(shape), len(steps)
 
 
 def solve_divform_rhs(field: CoefficientField, rhs,
-                      opts: SolveOptions = None):
+                      opts: SolveOptions = None, overwrite_rhs=False):
     """The zero-mean u with -div(a grad u) = rhs - mean(rhs) on the
-    torus."""
+    torus; ``overwrite_rhs`` subtracts the mean from ``rhs`` in place."""
     opts = opts or SolveOptions()
-    grid = field.grid
     rhs = np.asarray(rhs, dtype=np.float64)
-    rhs = rhs - rhs.mean()
+    rhs = np.subtract(rhs, rhs.mean(), out=rhs if overwrite_rhs else None)
     bnorm = float(np.linalg.norm(rhs))
     if not math.isfinite(bnorm):  # a Krylov solve would not stop on it
         raise RuntimeError(f"right-hand side is not finite: {bnorm}")
     if bnorm == 0.0:
-        return np.zeros(grid.shape), SolveReport(0, 0.0, True)
+        return np.zeros_like(rhs), SolveReport(0, 0.0, True)
     cols = kernels.coupled_columns(field.a)
 
     def matvec(u):
@@ -115,7 +129,7 @@ def solve_divform_rhs(field: CoefficientField, rhs,
 
 def solve_divform(field: CoefficientField, g, opts: SolveOptions = None):
     """The zero-mean u with -div(a grad u) = div g on the torus."""
-    return solve_divform_rhs(field, div(np.asarray(g)), opts)
+    return solve_divform_rhs(field, div(np.asarray(g)), opts, True)
 
 
 def _dirichlet_inverse(c0, mask):

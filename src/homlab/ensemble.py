@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.fft import fftfreq, rfftfreq
 
-from .corrector import (_streamed_fields, build_corrector_set,
+from .corrector import (_streamed_spectra, build_corrector_set,
                         compute_corrector, extended_components)
 from .diagnostics import (dyadic_radii, excess_decay_experiment,
                           growth_profile, minimal_radius)
@@ -132,7 +132,7 @@ def _run_scaling(plan, index):
 def _run_growth(plan, index):
     a = sample_coefficients(plan, index)
     phi, _ = compute_corrector(a, plan.opts())
-    prof = growth_profile(_streamed_fields(a, phi), a.grid,
+    prof = growth_profile(_streamed_spectra(a, phi), a.grid,
                           plan.effective_radii(), plan.beta_eff)
     return {f"V_r{r:g}": v for r, v in zip(prof.radii, prof.values)}
 

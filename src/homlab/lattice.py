@@ -5,7 +5,8 @@ Conventions: spacing h = 1 (unit correlation length), torus side L = N.
 <grad u, v> = -<u, div v> holds exactly and the divergence-form operator is
 exactly symmetric for symmetric coefficients.  A difference of C-contiguous
 arrays is one flat subtraction, its wrap slab then overwritten; the inverse
-Laplacian multiplier is built once per grid shape.
+Laplacian multiplier is built once per grid shape, and a spectral multiply
+inverts without a full-size complex temporary.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fftfreq, irfftn, rfftfreq, rfftn
+from scipy.fft import fftfreq, ifftn, irfft, rfftfreq, rfftn
 
 __all__ = [
     "GridSpec",
@@ -110,23 +111,22 @@ def div(f):
 
 def laplacian_symbol(shape, rfft=False):
     """Fourier symbol of -div(grad .): sum_j 4 sin^2(pi k_j / n)."""
-    d = len(shape)
-    sym = np.zeros(shape[:-1] + ((shape[-1] // 2 + 1) if rfft else shape[-1],))
-    for j, n in enumerate(shape):
-        freq = rfftfreq(n) if (rfft and j == d - 1) else fftfreq(n)
-        s = (2.0 * np.sin(np.pi * freq)) ** 2
-        sh = [1] * d
-        sh[j] = s.size
-        sym = sym + s.reshape(sh)
-    return sym
+    freqs = [fftfreq(n) for n in shape[:-1]]
+    freqs.append((rfftfreq if rfft else fftfreq)(shape[-1]))
+    return sum((2.0 * np.sin(np.pi * f)) ** 2 for f in np.ix_(*freqs))
 
 
 def _spectral_multiply(rhs, mult):
-    """irfftn(rfftn(rhs) * mult) over the trailing ``mult.ndim`` axes."""
+    """irfftn(rfftn(rhs) * mult) over the trailing ``mult.ndim`` axes, bit
+    for bit by irfftn's own steps: the unscaled complex inverse over the
+    leading grid axes (here in place), the real one along the last, 1/N."""
     axes = tuple(range(-mult.ndim, 0))
     uhat = rfftn(rhs, axes=axes)
     uhat *= mult
-    return irfftn(uhat, s=rhs.shape[-mult.ndim:], axes=axes, overwrite_x=True)
+    out = irfft(ifftn(uhat, axes=axes[:-1], norm="forward", overwrite_x=True),
+                n=rhs.shape[-1], norm="forward")
+    out *= 1.0 / math.prod(rhs.shape[-mult.ndim:])
+    return out
 
 
 @lru_cache(maxsize=4)
@@ -168,13 +168,8 @@ def _offsets(n, center):
 
 def periodic_dist_sq(grid: GridSpec, center):
     """Squared periodic distance of every cell center to ``center``."""
-    d2 = np.zeros(grid.shape)
-    for j in range(grid.d):
-        off = _offsets(grid.n, center[j])
-        sh = [1] * grid.d
-        sh[j] = grid.n
-        d2 = d2 + off.reshape(sh) ** 2
-    return d2
+    offsets = np.ix_(*[_offsets(grid.n, center[j]) for j in range(grid.d)])
+    return sum(off**2 for off in offsets)
 
 
 def ball_mask(grid: GridSpec, ball: Ball):
@@ -206,20 +201,19 @@ def _ball_kernel_hat(grid: GridSpec, radius):
     return rfftn(kern)
 
 
-def mean_ball_variance(comps, radii, grid: GridSpec):
+def mean_ball_variance(spectra, radii, grid: GridSpec):
     """Per radius R, sum over components u of the torus mean over x of the
-    variance of u on B_R(x): sum_u mean(u^2) - mean((K_R * u)^2), the second
-    mean by Parseval as sum_k |u_hat_k|^2 |K_hat_R,k|^2 / N^2 (N cells)."""
-    power = sq = 0.0
-    for comp in comps:
-        sq += float(np.vdot(comp, comp))
-        power += np.abs(rfftn(comp)) ** 2
-    # the half spectrum stands for +-k_last, except at k_last = 0, n/2
+    variance of u on B_R(x), from the rfft half spectra u_hat: by Parseval
+    sum_k w_k |u_hat_k|^2 (1 - |K_hat_R,k|^2) / N^2 (N cells), with w_k = 2
+    off the k_last = 0, n/2 planes (a half-spectrum entry stands for +-k)."""
+    power = 0.0
+    for spec in spectra:
+        power += np.abs(spec) ** 2
     power[..., 1:-1] *= 2.0
     cells = float(grid.n**grid.d)
     return np.array([
-        (sq - float(np.vdot(power, np.abs(_ball_kernel_hat(grid, r)) ** 2))
-         / cells) / cells for r in radii])
+        float(np.vdot(power, 1.0 - np.abs(_ball_kernel_hat(grid, r)) ** 2))
+        / cells**2 for r in radii])
 
 
 def ball_mean_field(u, radius, grid: GridSpec):

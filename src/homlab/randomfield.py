@@ -115,12 +115,7 @@ def _spectral_density(spec: CovarianceSpec, grid: GridSpec):
     """Unnormalized radial spectral density on the discrete wavevector
     lattice, zero mode nulled."""
     d, n = grid.d, grid.n
-    k2 = np.zeros(grid.shape)
-    for j in range(d):
-        freq = 2.0 * np.pi * np.fft.fftfreq(n)
-        sh = [1] * d
-        sh[j] = n
-        k2 = k2 + freq.reshape(sh) ** 2
+    k2 = sum(f**2 for f in np.ix_(*[2.0 * np.pi * np.fft.fftfreq(n)] * d))
     kk = np.sqrt(k2)
     if spec.gamma < d:
         dens = np.minimum(np.maximum(kk, 1e-300), _KCUT) ** (spec.gamma - d)
@@ -183,10 +178,8 @@ def constant_coefficients(grid: GridSpec, matrix=None):
     if matrix is None:
         matrix = np.eye(d)
     matrix = np.asarray(matrix, dtype=np.float64)
-    a = np.zeros((d, d) + grid.shape)
-    for i in range(d):
-        for j in range(d):
-            a[i, j] = matrix[i, j]
+    a = np.empty((d, d) + grid.shape)
+    a[...] = matrix.reshape((d, d) + (1,) * d)
     lam = float(np.min(np.linalg.eigvalsh((matrix + matrix.T) / 2)))
     return CoefficientField(a, lam_eff=lam, grid=grid)
 

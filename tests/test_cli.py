@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from homlab import cli
+from homlab import cli, corrector
 from homlab.cli import main, parse_config
 from homlab.ensemble import ExperimentPlan
 
@@ -260,3 +261,36 @@ class TestCommands:
         assert main(["--config", cfg, "--out", str(out), "diagnose"]) == 0
         payload = json.loads((out / "diagnostics.json").read_text())
         assert "r_star" in payload
+
+    def test_diagnose_growth_rows_are_plain_floats(self, tmp_path):
+        # numpy scalar reprs (np.float64(2.0)) are not CSV numbers
+        cfg = _write(tmp_path, "grid = 32\nradii = 2, 4\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "diagnose"]) == 0
+        header, *rows = (out / "growth.csv").read_text().splitlines()
+        assert header == "radius,V,reference"
+        assert [float(row.split(",")[0]) for row in rows] == [2.0, 4.0]
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == 3
+            assert all(np.isfinite(float(c)) for c in cells)
+
+    def test_diagnose_stacks_the_extended_components_once(self, tmp_path,
+                                                          monkeypatch):
+        # growth_profile reads their spectra one at a time; only
+        # minimal_radius stacks them
+        real = corrector.extended_components
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("homlab")
+                    and getattr(mod, "extended_components", None) is real):
+                monkeypatch.setattr(mod, "extended_components", counted)
+        cfg = _write(tmp_path, "grid = 32\nradii = 2, 4\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "diagnose"]) == 0
+        assert len(calls) == 1

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.fft import rfftn
 
 import homlab.corrector
 
 from homlab.corrector import (SkewField, build_corrector_set,
                               compute_corrector, compute_flux_and_ahom,
                               compute_sigma, extended_components,
-                              load_corrector_set, save_corrector_set,
+                              extended_spectra, load_corrector_set, save_corrector_set,
                               sigma_component)
 from homlab.elliptic import SolveOptions
 from homlab.diagnostics import growth_profile
@@ -208,30 +209,36 @@ class TestExtended:
         assert np.isclose(got, full)
 
     def test_growth_profile_streams_the_same_components(self):
-        # the profile takes the scaled components one at a time; its
-        # values from the stream equal the stacked ones bit for bit
+        # the profile reads half spectra one at a time: those of the stored
+        # components give mean_ball_variance of their rfftn bit for bit, and
+        # the growth stream, which never makes sigma, the same values
         a = _random_field(9, nu=0.1)
         corr = build_corrector_set(a, OPTS)
         comps = extended_components(corr.phi, corr.sigma)
         radii = (1.0, 2.0, 4.0)
-        want = mean_ball_variance(comps, radii, GRID)
-        stream = homlab.corrector._streamed_fields(a, corr.phi)
-        assert np.array_equal(growth_profile(stream, GRID, radii).values,
-                              want)
-        assert np.array_equal(growth_profile(comps, GRID, radii).values,
-                              want)
+        want = mean_ball_variance([rfftn(c) for c in comps], radii, GRID)
+        got = growth_profile(extended_spectra(corr.phi, corr.sigma), GRID,
+                             radii).values
+        assert np.array_equal(got, want)
+        stream = homlab.corrector._streamed_spectra(a, corr.phi)
+        assert np.allclose(growth_profile(stream, GRID, radii).values, want,
+                           rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 16)])
     def test_streamed_rows_equal_the_stacked_ones(self, grid):
-        # each sigma row is solved from its own q_i, with neither q nor
-        # sigma held whole, in the order and arithmetic of compute_sigma
+        # the stream yields rfftn of each extended component, in order:
+        # phi's rows bit for bit, and each sigma row from its own q_i by
+        # compute_sigma's curl and multiplier, up to rounding
         a = _random_field(11, nu=0.1, grid=grid)
         phi, _ = compute_corrector(a, OPTS)
         q, _ = compute_flux_and_ahom(a, phi)
-        want = extended_components(phi, compute_sigma(q))
-        rows = list(homlab.corrector._streamed_fields(a, phi))
+        want = [rfftn(c) for c in extended_components(phi, compute_sigma(q))]
+        rows = list(homlab.corrector._streamed_spectra(a, phi))
         assert len(rows) == len(want)
-        assert all(np.array_equal(r, w) for r, w in zip(rows, want))
+        d = grid.d
+        assert all(np.array_equal(r, w) for r, w in zip(rows[:d], want))
+        for r, w in zip(rows[d:], want[d:]):
+            assert np.max(np.abs(r - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 class TestIO:

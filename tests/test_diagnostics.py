@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from homlab.corrector import build_corrector_set, extended_components
+from homlab.corrector import (build_corrector_set, extended_components,
+                              extended_spectra)
 from homlab.diagnostics import (DegenerateGramError, dyadic_radii, excess,
                                 excess_decay_experiment, growth_profile,
                                 harmonic_quadratic, minimal_radius,
@@ -212,7 +213,7 @@ class TestGrowth:
 
     def test_profile_monotone(self):
         a, corr = _corr(6)
-        prof = growth_profile(extended_components(corr.phi, corr.sigma),
+        prof = growth_profile(extended_spectra(corr.phi, corr.sigma),
                               corr.grid, [2.0, 4.0, 8.0], beta=0.0)
         assert prof.regime == "critical"
         assert np.all(np.diff(prof.values) > 0.0)  # variance grows with R
@@ -226,16 +227,18 @@ class TestGrowth:
         corr = build_corrector_set(a, OPTS)
         radii = [1.0, 2.0, n / 8]
         comps = extended_components(corr.phi, corr.sigma)
-        got = growth_profile(comps, grid, radii).values
+        got = growth_profile(extended_spectra(corr.phi, corr.sigma), grid,
+                             radii).values
         want = _growth_by_ball_means(corr, radii)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         # a single-cell ball has no variance
         total = sum(float(np.mean(c**2)) for c in comps)
-        single = growth_profile(comps, grid, [0.5]).values[0]
+        single = growth_profile(extended_spectra(corr.phi, corr.sigma), grid,
+                                [0.5]).values[0]
         assert abs(single) <= 1e-12 * total
 
     def test_radius_cap(self):
         a, corr = _corr(6)
         with pytest.raises(ValueError):
-            growth_profile(extended_components(corr.phi, corr.sigma),
+            growth_profile(extended_spectra(corr.phi, corr.sigma),
                            corr.grid, [32.0], beta=0.0)

@@ -113,6 +113,19 @@ class TestDivform:
         assert not rep.converged
         assert rep.iterations == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_coefficient_stops_the_krylov_solve(self, bad):
+        # a[0, 1] is not read by div(a e_1), so the right-hand side is
+        # finite; the first non-finite iterate ends the solve, and the
+        # recomputed residual reports it (300 steps of max_iter=300 before)
+        grid = GridSpec(2, 16)
+        a = _random_field(3, grid=grid)
+        a.a[0, 1, 5, 7] = bad
+        with np.errstate(invalid="ignore"):
+            _, rep = solve_divform(a, a.a[:, 0], SolveOptions(max_iter=300))
+        assert rep.iterations <= 3
+        assert rep.converged is False
+
     def test_report_residual_honest(self):
         a = _random_field(5)
         g = np.random.default_rng(5).standard_normal((2,) + GRID.shape)
@@ -172,6 +185,33 @@ class TestSpectralPreconditioner:
         assert abs(mxy - xmy) <= 1e-12 * abs(mxy)
         assert float(np.sum(ax * x)) > 0.0
         assert np.max(np.abs(ax - apply(x))) <= 1e-12 * np.max(np.abs(ax))
+
+    def test_equal_diagonal_blocks_share_one_inverse(self, monkeypatch):
+        # one 1 / a_ii serves every row when the blocks are equal, with the
+        # values of the per-row inverse
+        a = _random_field(6, grid=GridSpec(3, 16))
+        x = np.random.default_rng(6).standard_normal(a.grid.shape)
+        seen = []
+
+        def spy(b, u, cols):
+            seen.append(b)
+            return divform_apply(b, u, cols)
+
+        monkeypatch.setattr(elliptic.kernels, "divform_apply", spy)
+        got = elliptic._spectral_inverse(a)(x)
+        a.a[2, 2, 0, 0] += 0.125  # now the blocks differ
+        other = elliptic._spectral_inverse(a)(x)
+        a.a[2, 2, 0, 0] -= 0.125
+        shared, each = seen
+        assert np.shares_memory(shared[0, 0], shared[2, 2])
+        assert not np.shares_memory(each[0, 0], each[2, 2])
+        b = 1.0 / np.einsum("ii...->i...", a.a)
+        b = np.broadcast_to(b[:, None], (3, 3) + a.grid.shape)
+        inv = elliptic._inverse_laplacian(a.grid.shape)
+        want = elliptic._spectral_multiply(divform_apply(
+            b, elliptic._spectral_multiply(x, inv), ((0,), (1,), (2,))), inv)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(other, want)
 
     @pytest.mark.parametrize("nu", [0.0, 0.2])
     @pytest.mark.parametrize("seed", range(4))

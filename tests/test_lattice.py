@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import irfftn, rfftn
 
-from homlab.lattice import (Ball, GridSpec, _pdiff, ball_average, ball_mask,
+from homlab.lattice import (Ball, GridSpec, _pdiff, _spectral_multiply,
+                            ball_average, ball_mask,
                             ball_mean_field, bgrad, div, grad,
                             laplacian_symbol, load_field, periodic_dist_sq,
                             poisson_solve, save_field, spectral_solve)
@@ -169,6 +171,23 @@ class TestSpectralSolve:
         u = spectral_solve(rhs, inv_t + laplacian_symbol(rhs.shape,
                                                          rfft=True))
         assert np.max(np.abs(inv_t * u - div(grad(u)) - rhs)) < 1e-12
+
+
+class TestSpectralMultiply:
+    @pytest.mark.parametrize("shape, grid_ndim", [
+        ((64, 64), 2), ((24, 24, 24), 3), ((3, 32, 32), 2),
+        ((2, 3, 16, 16, 16), 3), ((8, 8), 2)])
+    def test_equals_irfftn_bit_for_bit(self, shape, grid_ndim):
+        # the inverse in two steps, the first in place, is irfftn's own
+        rng = _rng(7)
+        rhs = rng.standard_normal(shape)
+        half = shape[-grid_ndim:-1] + (shape[-1] // 2 + 1,)
+        axes = tuple(range(-grid_ndim, 0))
+        for mult in (rng.standard_normal(half),
+                     rng.standard_normal(half) + 1j * rng.standard_normal(half)):
+            want = irfftn(rfftn(rhs, axes=axes) * mult,
+                          s=shape[-grid_ndim:], axes=axes)
+            assert np.array_equal(_spectral_multiply(rhs, mult), want)
 
 
 class TestBalls:
