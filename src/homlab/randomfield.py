@@ -6,16 +6,18 @@ For gamma < d the spectral density carries the matching power-law
 singularity at k = 0 (long-range correlations); for gamma >= d a
 Matern-type integrable spectrum is used, whose (exponentially decaying)
 covariance satisfies the same envelope.  The coarseness label is
-beta_eff = max(0, 1 - gamma/d).
+beta_eff = max(0, 1 - gamma/d).  White noise is filtered by real transforms,
+with sqrt(density) on the rfft half spectrum cached per (spec, grid).
 """
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr  # standard normal CDF, vectorized
 
-from .lattice import GridSpec
+from .lattice import GridSpec, _spectral_multiply
 
 __all__ = [
     "CovarianceSpec",
@@ -128,16 +130,21 @@ def _spectral_density(spec: CovarianceSpec, grid: GridSpec):
     return dens * (n**d / total)  # unit variance at the origin
 
 
+@lru_cache(maxsize=4)
+def _filter(spec: CovarianceSpec, grid: GridSpec):
+    """Read-only sqrt of ``_spectral_density`` on the rfft half spectrum."""
+    filt = np.sqrt(_spectral_density(spec, grid)[..., :grid.n // 2 + 1])
+    filt.flags.writeable = False
+    return filt
+
+
 def sample_gaussian(spec: CovarianceSpec, grid: GridSpec, seed: SeedSpec):
     """Zero-mean unit-variance stationary Gaussian field, sampled by
-    spectral filtering of white noise (Hermitian symmetry holds because the
-    noise is filtered in physical space)."""
+    spectral filtering of white noise; the density is real and even in k,
+    so the filtered field is real and a real transform pair suffices."""
     spec.validate(grid.d)
-    rng = seed.rng()
-    white = rng.standard_normal(grid.shape)
-    dens = _spectral_density(spec, grid)
-    fhat = np.fft.fftn(white) * np.sqrt(dens)
-    return np.real(np.fft.ifftn(fhat))
+    white = seed.rng().standard_normal(grid.shape)
+    return _spectral_multiply(white, _filter(spec, grid))
 
 
 def _skew_generator(d):

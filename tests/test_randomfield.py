@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from homlab import randomfield
 from homlab.ensemble import fit_power_law
 from homlab.lattice import GridSpec
 from homlab.randomfield import (CoefficientField, CoefficientModel,
@@ -26,6 +27,23 @@ class TestSeeds:
 
 
 class TestGaussian:
+    @pytest.mark.parametrize("spec, grid", [
+        (SPEC, GRID), (CovarianceSpec(3.5, 0.0), GridSpec(3, 16)),
+        (CovarianceSpec(1.5, 0.5), GridSpec(2, 32))])
+    def test_real_transform_equals_complex_formula(self, spec, grid):
+        # the rfft filter with sqrt(density) on the half spectrum gives the
+        # real part of the full complex filter, up to rounding
+        seed = SeedSpec(8, 1)
+        got = sample_gaussian(spec, grid, seed)
+        white = seed.rng().standard_normal(grid.shape)
+        dens = randomfield._spectral_density(spec, grid)
+        want = np.real(np.fft.ifftn(np.fft.fftn(white) * np.sqrt(dens)))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        filt = randomfield._filter(spec, grid)
+        assert filt is randomfield._filter(spec, grid)
+        assert filt.dtype == np.float64 and not filt.flags.writeable
+        assert filt.shape == grid.shape[:-1] + (grid.n // 2 + 1,)
+
     def test_moments(self):
         fields = [sample_gaussian(SPEC, GRID, SeedSpec(0, i))
                   for i in range(24)]
