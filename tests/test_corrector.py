@@ -7,8 +7,8 @@ import homlab.corrector
 from homlab.corrector import (SkewField, build_corrector_set,
                               compute_corrector, compute_flux_and_ahom,
                               compute_sigma, extended_components,
-                              extended_spectra, load_corrector_set, save_corrector_set,
-                              sigma_component)
+                              extended_spectra, load_corrector_set,
+                              save_corrector_set, sigma_component)
 from homlab.elliptic import SolveOptions
 from homlab.diagnostics import growth_profile
 from homlab.lattice import GridSpec, div, grad, mean_ball_variance

@@ -183,8 +183,8 @@ class TestSpectralMultiply:
         rhs = rng.standard_normal(shape)
         half = shape[-grid_ndim:-1] + (shape[-1] // 2 + 1,)
         axes = tuple(range(-grid_ndim, 0))
-        for mult in (rng.standard_normal(half),
-                     rng.standard_normal(half) + 1j * rng.standard_normal(half)):
+        re, im = rng.standard_normal((2,) + half)
+        for mult in (re, re + 1j * im):
             want = irfftn(rfftn(rhs, axes=axes) * mult,
                           s=shape[-grid_ndim:], axes=axes)
             assert np.array_equal(_spectral_multiply(rhs, mult), want)
