@@ -187,8 +187,8 @@ def cmd_diagnose(cfg, outdir):
     a = sample_coefficients(plan, 0)
     corr = build_corrector_set(a, plan.opts())
     radii = plan.effective_radii()
-    prof = growth_profile(extended_spectra(corr.phi, corr.sigma),
-                          corr.grid, radii, plan.beta_eff)
+    prof = growth_profile(extended_spectra(a, corr.phi), corr.grid, radii,
+                          plan.beta_eff)
     rep = minimal_radius(corr, plan.delta)
     lines = ["radius,V,reference"]
     for r, v, g in zip(prof.radii, prof.values, prof.reference):

@@ -6,8 +6,10 @@ q_i = a (grad phi_i + e_i) - a_hom e_i with a_hom e_i the torus mean of
 a (grad phi_i + e_i), and the flux corrector sigma_ijk solves
 -lap sigma_ijk = d_j q_ik - d_k q_ij spectrally (forward differences on the
 right, so that div sigma_i = q_i holds up to the corrector residual).
-Growth profiles read the components' rfft half spectra; a growth
-realization takes each sigma row's straight from its right-hand side.
+Growth profiles read the components' rfft half spectra from one stream,
+``extended_spectra(a, phi)``, which takes each sigma row's straight from its
+right-hand side.  A ``CorrectorSet`` holds phi, q, a_hom and sigma; the
+gradients of phi are taken where they are read.
 """
 
 import json
@@ -80,7 +82,6 @@ class SkewField:
 class CorrectorSet:
     grid: GridSpec
     phi: np.ndarray              # (d,) + grid
-    grad_phi: np.ndarray         # (d, d) + grid, [i, j] = d_j phi_i
     q: np.ndarray                # (d, d) + grid, [i, j] = (q_i)_j
     a_hom: np.ndarray            # (d, d)
     sigma: SkewField
@@ -107,12 +108,12 @@ def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
     return phi, reports
 
 
-def _flux(a: CoefficientField, grad_phi_i, i):
-    """q_i = a (grad phi_i + e_i) minus its torus mean, and that mean;
-    ``grad_phi_i`` is overwritten."""
+def _flux(a: CoefficientField, dphi_i, i):
+    """q_i = a (grad phi_i + e_i) minus its torus mean, and that mean, from
+    ``dphi_i`` = grad phi_i, which is overwritten."""
     d = a.grid.d
-    grad_phi_i[i] += 1.0
-    flux = np.einsum("pq...,q...->p...", a.a, grad_phi_i)
+    dphi_i[i] += 1.0
+    flux = np.einsum("pq...,q...->p...", a.a, dphi_i)
     mean = flux.reshape(d, -1).mean(axis=1)
     flux -= mean.reshape((d,) + (1,) * d)
     return flux, mean
@@ -128,18 +129,16 @@ def _curl(q_i, j, k):
     return np.add(out, q_i[j], out=out)
 
 
-def compute_flux_and_ahom(a: CoefficientField, phi, grad_phi=None):
+def compute_flux_and_ahom(a: CoefficientField, phi):
     """Fluxes q_i (mean-zero exactly) and a_hom column i =
-    mean of a (grad phi_i + e_i); ``phi`` must hold all d correctors.
-    ``grad_phi``, [i, j] = d_j phi_i, is taken from ``phi`` when None."""
+    mean of a (grad phi_i + e_i); ``phi`` must hold all d correctors."""
     d = a.grid.d
     if phi.shape[0] != d:
         raise ValueError(f"need all {d} correctors, got {phi.shape[0]}")
     q = np.zeros((d, d) + a.grid.shape)
     a_hom = np.zeros((d, d))
     for i in range(d):
-        gp = grad(phi[i]) if grad_phi is None else grad_phi[i].copy()
-        q[i], a_hom[:, i] = _flux(a, gp, i)
+        q[i], a_hom[:, i] = _flux(a, grad(phi[i]), i)
     return q, a_hom
 
 
@@ -169,17 +168,11 @@ def sigma_component(a: CoefficientField, phi_i, i, j, k):
     return poisson_solve(_curl(_flux(a, grad(phi_i), i)[0], j, k))
 
 
-def _extended_rows(phi, sigma: SkewField):
-    """phi's rows, then sqrt(2) times each sigma row, made when reached."""
-    yield from phi
-    for values in sigma.values.reshape((-1,) + phi.shape[1:]):
-        yield values * np.sqrt(2.0)
-
-
-def _streamed_spectra(a: CoefficientField, phi):
+def extended_spectra(a: CoefficientField, phi):
     """rfftn of each row of ``extended_components(phi, compute_sigma(q))``,
-    each q_i made from phi_i when reached and each sigma row's spectrum
-    sqrt(2) K^-1 rfftn(curl), with neither q nor sigma held whole."""
+    made when reached: phi's rows, then each sigma row's spectrum
+    sqrt(2) K^-1 rfftn(curl), its q_i made from phi_i when reached, with
+    neither q nor sigma held whole; ``phi`` must hold all d correctors."""
     yield from map(rfftn, phi)
     mult = np.sqrt(2.0) * _inverse_laplacian(phi.shape[1:])
     q = (_flux(a, grad(phi_i), i)[0] for i, phi_i in enumerate(phi))
@@ -191,22 +184,17 @@ def extended_components(phi, sigma: SkewField):
     """Stacked components of the extended corrector (phi, sigma) scaled so
     that the plain sum of squares equals |(phi, sigma)|^2 (each unordered
     sigma pair stands for both orderings, hence the sqrt(2) weight)."""
-    return np.stack(list(_extended_rows(phi, sigma)))
-
-
-def extended_spectra(phi, sigma: SkewField):
-    """rfftn of each row of ``extended_components``, made when reached."""
-    return map(rfftn, _extended_rows(phi, sigma))
+    return np.stack(list(phi) + [
+        values * np.sqrt(2.0)
+        for values in sigma.values.reshape((-1,) + phi.shape[1:])])
 
 
 def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):
     """Correctors of all d directions, their fluxes, a_hom and sigma."""
     phi, reports = compute_corrector(a, opts)
-    gp = np.stack([grad(phi[i]) for i in range(a.grid.d)])
-    q, a_hom = compute_flux_and_ahom(a, phi, gp)
-    sigma = compute_sigma(q)
-    return CorrectorSet(a.grid, phi, gp, q, a_hom, sigma,
-                        a.lam_eff, reports)
+    q, a_hom = compute_flux_and_ahom(a, phi)
+    return CorrectorSet(a.grid, phi, q, a_hom, compute_sigma(q), a.lam_eff,
+                        reports)
 
 
 def save_corrector_set(corr: CorrectorSet, outdir):
@@ -216,7 +204,7 @@ def save_corrector_set(corr: CorrectorSet, outdir):
     save_field(os.path.join(outdir, "phi.bin"), corr.phi, d)
     save_field(os.path.join(outdir, "q.bin"), corr.q, d)
     save_field(os.path.join(outdir, "sigma.bin"), corr.sigma.values, d)
-    energy = [float(np.mean(corr.grad_phi[i] ** 2) * d) for i in range(d)]
+    energy = [float(np.mean(grad(corr.phi[i]) ** 2) * d) for i in range(d)]
     summary = {
         "schema": 1,
         "d": d,
@@ -240,6 +228,5 @@ def load_corrector_set(outdir):
     q = load_field(os.path.join(outdir, "q.bin")).reshape((d, d) + grid.shape)
     sig = load_field(os.path.join(outdir, "sigma.bin"))
     sigma = SkewField(sig.reshape((d, len(_pairs(d))) + grid.shape), d)
-    gp = np.stack([grad(phi[i]) for i in range(d)])
-    return CorrectorSet(grid, phi, gp, q, np.array(summary["a_hom"]), sigma,
+    return CorrectorSet(grid, phi, q, np.array(summary["a_hom"]), sigma,
                         summary["lambda_eff"], [])

@@ -7,7 +7,7 @@ import numpy as np
 
 from .corrector import CorrectorSet, extended_components
 from .elliptic import SolveOptions, solve_dirichlet_ball
-from .lattice import (Ball, GridSpec, _offsets, ball_mask, grad,
+from .lattice import (Ball, GridSpec, _grad_at, _offsets, ball_mask, grad,
                       mean_ball_variance, periodic_dist_sq)
 
 __all__ = [
@@ -55,6 +55,8 @@ class GrowthProfile:
 
 
 def dyadic_radii(grid: GridSpec, lo=1.0, hi=None):
+    if not lo > 0:  # doubling would never pass hi
+        raise ValueError(f"lowest dyadic radius must be positive, got {lo}")
     hi = hi if hi is not None else grid.n / 8
     radii = []
     r = float(lo)
@@ -66,14 +68,16 @@ def dyadic_radii(grid: GridSpec, lo=1.0, hi=None):
 
 def excess(grad_u, corr: CorrectorSet, ball: Ball, cond_limit=1e10):
     """Deviation of grad u on the ball from the best corrected-affine
-    gradient xi + grad phi_xi, via the d x d normal equations."""
+    gradient xi + grad phi_xi, via the d x d normal equations; grad phi
+    is taken at the ball's cells only."""
     grid = corr.grid
     d = grid.d
     gram = np.zeros((d, d))
     b = np.zeros(d)
     mask = ball_mask(grid, ball)
     gu = grad_u[:, mask]
-    basis = corr.grad_phi[:, :, mask]   # a copy: [i] = e_i + grad phi_i
+    # [i, j] = d_j phi_i on the ball, then [i] = e_i + grad phi_i
+    basis = np.swapaxes(_grad_at(corr.phi, np.nonzero(mask)), 0, 1)
     for i in range(d):
         basis[i, i] += 1.0
     # np.sum over axis 0 adds the components in order; einsum need not
@@ -99,8 +103,8 @@ def _centered_variance(comps, mask):
 def minimal_radius(corr: CorrectorSet, delta, center=None):
     """Smallest dyadic r with (1/R^2) fint_{B_R} |(phi, sigma) - mean|^2
     <= delta for every dyadic R in [r, L/8]; inf sentinel if none."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:  # raises for nan too
+        raise ValueError(f"delta must be positive, got {delta}")
     grid = corr.grid
     center = tuple(center) if center is not None else (0.0,) * grid.d
     comps = extended_components(corr.phi, corr.sigma)
@@ -141,11 +145,11 @@ def harmonic_quadratic(a_hom, grid: GridSpec, center, rng):
 
 
 def excess_decay_experiment(a, corr: CorrectorSet, R, r_list, rng,
-                            opts: SolveOptions = None, center=None):
+                            opts: SolveOptions = None):
     """Excess-decay table for an a-harmonic function with random
-    a_hom-harmonic quadratic boundary data on B_R."""
+    a_hom-harmonic quadratic boundary data on B_R, balls at the origin."""
     grid = corr.grid
-    center = tuple(center) if center is not None else (0.0,) * grid.d
+    center = (0.0,) * grid.d
     boundary = harmonic_quadratic(corr.a_hom, grid, center, rng)
     u, rep = solve_dirichlet_ball(a, Ball(center, float(R)), boundary, opts)
     gu = grad(u)
@@ -178,8 +182,9 @@ def growth_profile(spectra, grid: GridSpec, radii, beta=0.0):
     over all torus centers (by Parseval, so every center contributes), from
     the rows' rfft half spectra, as ``extended_spectra`` yields them."""
     radii = np.asarray(radii, dtype=np.float64)
-    if np.any(radii > grid.n / 8):
-        raise ValueError("growth radii must stay <= L/8")
+    if not np.all((radii >= 0.5) & (radii <= grid.n / 8)):  # nan fails too
+        raise ValueError(f"growth radii must lie in [0.5, L/8 = "
+                         f"{grid.n / 8}], got {radii.tolist()}")
     vals = mean_ball_variance(spectra, radii, grid)
     ref, regime = regime_reference(grid.d, beta, radii)
     return GrowthProfile(radii, vals, ref, regime)

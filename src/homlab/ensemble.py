@@ -8,8 +8,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.fft import fftfreq, rfftfreq
 
-from .corrector import (_streamed_spectra, build_corrector_set,
-                        compute_corrector, extended_components)
+from .corrector import (build_corrector_set, compute_corrector,
+                        extended_components, extended_spectra)
 from .diagnostics import (dyadic_radii, excess_decay_experiment,
                           growth_profile, minimal_radius)
 from .elliptic import SolveOptions, solve_divform_rhs
@@ -81,10 +81,10 @@ class ExperimentPlan:
     def opts(self):
         return SolveOptions(tol=self.tol, max_iter=self.max_iter)
 
-    def effective_radii(self, n=None):
+    def effective_radii(self):
         if self.radii:
             return np.asarray(self.radii, dtype=np.float64)
-        grid = self.grid(n)
+        grid = self.grid()
         lo = 8.0
         while lo > 2.0 and lo * 2.0 > grid.n / 8:
             lo /= 2.0  # keep at least two dyadic radii on small grids
@@ -132,7 +132,7 @@ def _run_scaling(plan, index):
 def _run_growth(plan, index):
     a = sample_coefficients(plan, index)
     phi, _ = compute_corrector(a, plan.opts())
-    prof = growth_profile(_streamed_spectra(a, phi), a.grid,
+    prof = growth_profile(extended_spectra(a, phi), a.grid,
                           plan.effective_radii(), plan.beta_eff)
     return {f"V_r{r:g}": v for r, v in zip(prof.radii, prof.values)}
 

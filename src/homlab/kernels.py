@@ -238,8 +238,9 @@ def pair_interaction_sup(corners, sides, gamma, outer=None):
     corners = np.asarray(corners, dtype=np.float64)
     sides = np.asarray(sides, dtype=np.float64)
     gamma = float(gamma)
-    if gamma < 0.0:
-        raise ValueError(f"gamma = {gamma} < 0: the kernel must not increase")
+    if not gamma >= 0.0:  # raises for nan too
+        raise ValueError(f"gamma = {gamma} is not >= 0: the kernel must not "
+                         f"increase")
     if outer is None:
         outer = np.arange(corners.shape[0], dtype=np.int64)
     else:

@@ -68,11 +68,9 @@ class Ball:
     def validate(self, grid: GridSpec):
         if len(self.center) != grid.d:
             raise ValueError("ball center dimension mismatch")
-        if self.radius > grid.n / 4:
-            raise ValueError(
-                f"ball radius {self.radius} exceeds L/4 = {grid.n / 4}")
-        if self.radius < 0.5:
-            raise ValueError("empty ball: radius below half a cell")
+        if not 0.5 <= self.radius <= grid.n / 4:  # raises for nan too
+            raise ValueError(f"ball radius {self.radius} outside "
+                             f"[0.5, L/4 = {grid.n / 4}]")
 
 
 def _pdiff(u, axis, forward=True, out=None):
@@ -89,6 +87,19 @@ def _pdiff(u, axis, forward=True, out=None):
         np.subtract(v[1:], v[:-1], out=w[:-1] if forward else w[1:])
     np.subtract(v[:1], v[-1:], out=w[-1:] if forward else w[:1])
     return out
+
+
+def _grad_at(u, cells):
+    """Forward differences of u's last d axes at ``cells``, periodic: d
+    integers for one cell, or d index arrays as ``np.nonzero`` gives them.
+    Shape (d,) + u[(Ellipsis,) + cells].shape, the new leading axis the
+    direction; bit for bit the entries of ``grad`` at those cells."""
+    shape = u.shape[-len(cells):]
+    here = u[(Ellipsis,) + cells]
+    return np.stack([
+        u[(Ellipsis,) + tuple((c + (k == j)) % m
+                              for k, (c, m) in enumerate(zip(cells, shape)))]
+        - here for j in range(len(cells))])
 
 
 def grad(u):

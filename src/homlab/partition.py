@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .lattice import _offsets
 
 __all__ = [
     "Partition",
@@ -135,9 +136,9 @@ def interaction_sum(part: Partition, gamma):
     exceeds the largest full sum found, so the value is the exact sup, equal
     to the brute-force ``kernels.pair_interaction_sup_numpy``.
     """
-    if gamma <= part.d * (1.0 - part.beta):
+    if not gamma > part.d * (1.0 - part.beta):  # raises for nan too
         raise ValueError(
-            f"gamma = {gamma} is in the non-integrable range "
+            f"gamma = {gamma} is not in the integrable range "
             f"(need > {part.d * (1.0 - part.beta)})")
     return float(kernels.pair_interaction_sup(
         part.corners, part.sides, gamma, part.wedge))
@@ -155,8 +156,7 @@ def lattice_partition_labels(grid, beta, center=None):
     """
     d, n = grid.d, grid.n
     center = center or (0.0,) * d
-    axes = [(np.arange(n, dtype=np.float64) - center[j] + n / 2) % n - n / 2
-            for j in range(d)]
+    axes = [_offsets(n, center[j]) for j in range(d)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     m = np.max(np.abs(pts), axis=1)
     # level k: the point lies in the shell 3^k([-3/2,3/2) \ [-1/2,1/2))

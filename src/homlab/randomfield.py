@@ -11,7 +11,7 @@ with sqrt(density) on the rfft half spectrum cached per (spec, grid).
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -97,19 +97,15 @@ class CoefficientField:
 
     a: np.ndarray
     lam_eff: float
-    grid: GridSpec = field(default=None)
-
-    def __post_init__(self):
-        if self.grid is None:
-            self.grid = GridSpec(self.a.ndim - 2, self.a.shape[-1])
+    grid: GridSpec
 
     def transpose(self):
         return CoefficientField(np.swapaxes(self.a, 0, 1).copy(),
                                 self.lam_eff, self.grid)
 
-    def is_symmetric(self, tol=1e-13):
-        """max |a_ij - a_ji| <= tol over cells and the pairs i > j."""
-        return all(float(np.max(np.abs(self.a[i, j] - self.a[j, i]))) <= tol
+    def is_symmetric(self):
+        """max |a_ij - a_ji| <= 1e-13 over cells and the pairs i > j."""
+        return all(float(np.max(np.abs(self.a[i, j] - self.a[j, i]))) <= 1e-13
                    for i in range(self.grid.d) for j in range(i))
 
 
@@ -153,12 +149,10 @@ def _skew_generator(d):
     return j
 
 
-def to_coefficients(g_sym, model: CoefficientModel, g_skew=None,
-                    grid: GridSpec = None):
+def to_coefficients(g_sym, model: CoefficientModel, g_skew, grid: GridSpec):
     """a(x) = [lam + (1-lam) Phi(g_sym)] Id + nu (2 Phi(g_skew) - 1) J,
-    rescaled by the worst-case operator-norm bound so |a(x) xi| <= |xi|."""
-    if grid is None:
-        grid = GridSpec(g_sym.ndim, g_sym.shape[-1])
+    rescaled by the worst-case operator-norm bound so |a(x) xi| <= |xi|;
+    ``g_skew`` is None when nu = 0."""
     d = grid.d
     nu = model.skew_amplitude
     if nu > 0.0 and g_skew is None:

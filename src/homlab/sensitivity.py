@@ -29,7 +29,7 @@ import numpy as np
 
 from .corrector import compute_corrector, sigma_component
 from .elliptic import SolveOptions, solve_divform, solve_divform_rhs
-from .lattice import bgrad, div, grad, poisson_solve
+from .lattice import _grad_at, bgrad, div, grad, poisson_solve
 from .randomfield import CoefficientField
 
 __all__ = [
@@ -66,11 +66,9 @@ class FunctionalSpec:
 @dataclass
 class DerivativeField:
     """d x d matrix field dF/da (continuum normalization, h = 1), the
-    adjoint solutions used to assemble it, the value F(a) and the solver
-    options both were computed with."""
+    value F(a) and the solver options both were computed with."""
 
     deriv: np.ndarray            # (d, d) + grid
-    adjoints: dict
     value: float
     opts: SolveOptions
 
@@ -135,17 +133,6 @@ def _cell_responses(a: CoefficientField, cell, opts, digest):
     return _memoized(digest + ("cell", cell, opts), a.grid.d, solve)
 
 
-def _grad_at(u, cell):
-    """Forward differences of u's last d axes at one cell, periodic:
-    shape (d,) + u.shape[:-d], the new leading axis the direction."""
-    shape = u.shape[-len(cell):]
-    here = u[(Ellipsis,) + cell]
-    return np.stack([
-        u[(Ellipsis,) + tuple((c + (k == j)) % m
-                              for k, (c, m) in enumerate(zip(cell, shape)))]
-        - here for j in range(len(cell))])
-
-
 def _perturbed_corrector(a: CoefficientField, i, cell, c, opts, digest):
     """phi_i of a + c delta_cell by the rank-d update of the module
     docstring, from the memoized phi_i and cell responses of a."""
@@ -197,11 +184,9 @@ def _derivative(a: CoefficientField, spec: FunctionalSpec, opts, digest):
     w = grad(phi)
     w[i] += 1.0
     at = a.transpose()
-    adjoints = {}
     if spec.kind == "phi":
         vt, rep = solve_divform_rhs(at, div(spec.g), opts)
         left = grad(vt)
-        adjoints["vt"] = vt
     else:
         j, k = spec.pair
         vb = poisson_solve(div(spec.g))
@@ -212,11 +197,10 @@ def _derivative(a: CoefficientField, spec: FunctionalSpec, opts, digest):
         atm = np.einsum("pq...,q...->p...", at.a, m)
         vh, rep = solve_divform_rhs(at, div(atm), opts)
         left = m + grad(vh)
-        adjoints.update(vb=vb, vh=vh)
     if not rep.converged:
         raise RuntimeError(f"adjoint solve failed: {rep}")
     deriv = np.einsum("p...,q...->pq...", left, w)
-    return DerivativeField(deriv, adjoints, _value(a, spec, phi), opts)
+    return DerivativeField(deriv, _value(a, spec, phi), opts)
 
 
 def carre_du_champ(deriv: DerivativeField, labels):

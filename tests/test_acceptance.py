@@ -89,7 +89,7 @@ def test_criterion_02_structural_identities():
             rel = (np.linalg.norm(ds[i] - corr.q[i])
                    / np.linalg.norm(corr.q[i]))
             worst_sigma = max(worst_sigma, rel)
-            energy = float(np.mean(np.sum(corr.grad_phi[i] ** 2, axis=0)))
+            energy = float(np.mean(np.sum(grad(corr.phi[i]) ** 2, axis=0)))
             worst_energy = max(worst_energy,
                                energy - 1.0 / corr.lam_eff**2)
     ok = (worst_sigma <= 1e-6 and worst_skew == 0.0

@@ -8,8 +8,8 @@ from homlab.diagnostics import (DegenerateGramError, dyadic_radii, excess,
                                 harmonic_quadratic, minimal_radius,
                                 regime_reference)
 from homlab.elliptic import SolveOptions
-from homlab.lattice import (Ball, GridSpec, ball_average, ball_mask,
-                            ball_mean_field)
+from homlab.lattice import (Ball, GridSpec, _offsets, ball_average,
+                            ball_mask, ball_mean_field, grad)
 from homlab.randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
                                 constant_coefficients, sample_gaussian,
                                 to_coefficients)
@@ -45,7 +45,7 @@ def _excess_reference(grad_u, corr, ball):
     the reference for ``excess``, which masks the ball once."""
     d = corr.grid.d
     gram, b = np.zeros((d, d)), np.zeros(d)
-    basis = [corr.grad_phi[i].copy() for i in range(d)]
+    basis = [grad(corr.phi[i]) for i in range(d)]
     for i in range(d):
         basis[i][i] += 1.0
     for i in range(d):
@@ -120,11 +120,19 @@ def test_dyadic_radii():
     assert list(dyadic_radii(GRID, lo=2.0, hi=16.0)) == [2.0, 4.0, 8.0, 16.0]
 
 
+@pytest.mark.parametrize("lo", [0.0, -1.0, np.nan])
+def test_dyadic_radii_rejects_nonpositive_lo(lo):
+    # doubling a radius <= 0 never passes hi: the list would grow forever
+    with pytest.raises(ValueError, match="positive"):
+        dyadic_radii(GRID, lo=lo)
+
+
 class TestExcess:
     def test_corrected_affine_has_zero_excess(self):
         a, corr = _corr(1)
         xi = np.array([0.7, -0.4])
-        gu = np.einsum("i,ij...->j...", xi, corr.grad_phi)
+        gp = np.stack([grad(corr.phi[i]) for i in range(2)])
+        gu = np.einsum("i,ij...->j...", xi, gp)
         gu += xi.reshape(2, 1, 1)
         rep = excess(gu, corr, Ball((0.0, 0.0), 8.0))
         assert rep.excess < 1e-12
@@ -138,10 +146,10 @@ class TestExcess:
 
     def test_degenerate_gram(self):
         a, corr = _corr(3)
-        # make basis_1 = grad_phi_1 + e_1 coincide with basis_0
-        corr.grad_phi[1] = corr.grad_phi[0].copy()
-        corr.grad_phi[1][0] += 1.0
-        corr.grad_phi[1][1] -= 1.0
+        # phi_1 = phi_0 + x_0 - x_1 makes basis_1 = grad phi_1 + e_1
+        # coincide with basis_0 off the periodic seam, outside the ball
+        x0, x1 = np.ix_(_offsets(GRID.n, 0.0), _offsets(GRID.n, 0.0))
+        corr.phi[1] = corr.phi[0] + x0 - x1
         gu = np.zeros((2,) + GRID.shape)
         with pytest.raises(DegenerateGramError):
             excess(gu, corr, Ball((0.0, 0.0), 4.0), cond_limit=1e6)
@@ -169,6 +177,12 @@ class TestMinimalRadius:
         a, corr = _corr(4)
         with pytest.raises(ValueError):
             minimal_radius(corr, 0.0)
+
+    def test_nan_delta_rejected(self):
+        # nan fails every comparison: unchecked, it gives the inf sentinel
+        a, corr = _corr(4)
+        with pytest.raises(ValueError, match="positive"):
+            minimal_radius(corr, np.nan)
 
 
 class TestHarmonicQuadratic:
@@ -213,7 +227,7 @@ class TestGrowth:
 
     def test_profile_monotone(self):
         a, corr = _corr(6)
-        prof = growth_profile(extended_spectra(corr.phi, corr.sigma),
+        prof = growth_profile(extended_spectra(a, corr.phi),
                               corr.grid, [2.0, 4.0, 8.0], beta=0.0)
         assert prof.regime == "critical"
         assert np.all(np.diff(prof.values) > 0.0)  # variance grows with R
@@ -227,18 +241,26 @@ class TestGrowth:
         corr = build_corrector_set(a, OPTS)
         radii = [1.0, 2.0, n / 8]
         comps = extended_components(corr.phi, corr.sigma)
-        got = growth_profile(extended_spectra(corr.phi, corr.sigma), grid,
+        got = growth_profile(extended_spectra(a, corr.phi), grid,
                              radii).values
         want = _growth_by_ball_means(corr, radii)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         # a single-cell ball has no variance
         total = sum(float(np.mean(c**2)) for c in comps)
-        single = growth_profile(extended_spectra(corr.phi, corr.sigma), grid,
+        single = growth_profile(extended_spectra(a, corr.phi), grid,
                                 [0.5]).values[0]
         assert abs(single) <= 1e-12 * total
 
     def test_radius_cap(self):
         a, corr = _corr(6)
         with pytest.raises(ValueError):
-            growth_profile(extended_spectra(corr.phi, corr.sigma),
+            growth_profile(extended_spectra(a, corr.phi),
                            corr.grid, [32.0], beta=0.0)
+
+    @pytest.mark.parametrize("radius", [np.nan, -2.0, 0.25])
+    def test_nan_or_small_radius_rejected(self, radius):
+        # unchecked, -2 is read as a radius of 2, against a -inf reference
+        a, corr = _corr(6)
+        with pytest.raises(ValueError, match="L/8"):
+            growth_profile(extended_spectra(a, corr.phi), corr.grid,
+                           [2.0, radius])

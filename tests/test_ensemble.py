@@ -67,6 +67,21 @@ class TestGrowthMemory:
             tracemalloc.stop()
         assert peak <= 28 * 32**3 * 8
 
+    def test_excess_realization_holds_no_gradient_stack(self):
+        # excess reads grad phi at the ball's cells only; a corrector set
+        # that held its d x d gradient stack put the traced peak of one 2D
+        # realization near 23.5 grid fields, against 19.5 without it
+        plan = ExperimentPlan(kind="excess", d=2, n=64, m=2)
+        ensemble._run_excess(plan, 0)  # caches its multipliers untraced
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ensemble._run_excess(plan, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21.5 * 64**2 * 8
+
 
 class TestFits:
     def test_power_law_exact(self):

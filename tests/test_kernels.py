@@ -347,3 +347,11 @@ class TestPrunedInteraction:
         assert kernels.pair_interaction_sup(c, s, 2.0, []) == 0.0
         with pytest.raises(ValueError):
             kernels.pair_interaction_sup(c, s, -0.5)
+
+    def test_nan_gamma_rejected(self):
+        # the brute-force reference gives nan; a nan gamma must raise, not
+        # let the pruning skip every cell and return a sup of 0
+        c, s = _scattered_boxes()
+        assert np.isnan(kernels.pair_interaction_sup_numpy(c, s, np.nan))
+        with pytest.raises(ValueError, match="gamma = nan"):
+            kernels.pair_interaction_sup(c, s, np.nan)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import irfftn, rfftn
 
-from homlab.lattice import (Ball, GridSpec, _pdiff, _spectral_multiply,
-                            ball_average, ball_mask,
+from homlab.lattice import (Ball, GridSpec, _grad_at, _pdiff,
+                            _spectral_multiply, ball_average, ball_mask,
                             ball_mean_field, bgrad, div, grad,
                             laplacian_symbol, load_field, periodic_dist_sq,
                             poisson_solve, save_field, spectral_solve)
@@ -111,6 +111,19 @@ class TestDifferencesMatchRoll:
             assert np.array_equal(bgrad(u), np.stack(
                 [_roll_diff(u, j, False) for j in range(d)])), name
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grad_at_cells_is_grad_on_the_mask(self, d):
+        # index arrays as np.nonzero gives them, on fields with leading
+        # axes: the ball's cells include ones on the periodic wrap
+        grid = GridSpec(d, 16)
+        mask = ball_mask(grid, Ball((0.0,) * d, 4.0))
+        u = _rng(d).standard_normal((2, 3) + grid.shape)
+        want = np.moveaxis(np.array([[grad(row)[:, mask] for row in rows]
+                                     for rows in u]), 2, 0)
+        got = _grad_at(u, np.nonzero(mask))
+        assert got.shape == (d, 2, 3, int(mask.sum()))
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_div(self, shape):
         d = len(shape)
@@ -201,6 +214,11 @@ class TestBalls:
         g = GridSpec(2, 32)
         with pytest.raises(ValueError):
             ball_mask(g, Ball((0.0, 0.0), 9.0))
+
+    @pytest.mark.parametrize("radius", [np.nan, 0.25])
+    def test_nan_or_empty_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="outside"):
+            Ball((0.0, 0.0), radius).validate(GridSpec(2, 32))
 
     def test_average_matches_mask(self):
         g = GridSpec(2, 32)

@@ -163,6 +163,11 @@ class TestInteraction:
         with pytest.raises(ValueError):
             interaction_sum(part, 1.9)
 
+    def test_nan_gamma_rejected(self):
+        # nan fails every comparison, so only a negated check rejects it
+        with pytest.raises(ValueError, match="gamma = nan"):
+            interaction_sum(build_partition(4.5, 0.3, 2), np.nan)
+
 
 class TestLocate:
     def test_points_land_in_their_cells(self):
