@@ -187,7 +187,7 @@ def cmd_diagnose(cfg, outdir):
     a = sample_coefficients(plan, 0)
     corr = build_corrector_set(a, plan.opts())
     radii = plan.effective_radii()
-    prof = growth_profile(extended_spectra(a, corr.phi), corr.grid, radii,
+    prof = growth_profile(extended_spectra(a, corr.phi), a.grid, radii,
                           plan.beta_eff)
     rep = minimal_radius(corr, plan.delta)
     lines = ["radius,V,reference"]

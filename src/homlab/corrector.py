@@ -6,22 +6,24 @@ q_i = a (grad phi_i + e_i) - a_hom e_i with a_hom e_i the torus mean of
 a (grad phi_i + e_i), and the flux corrector sigma_ijk solves
 -lap sigma_ijk = d_j q_ik - d_k q_ij spectrally (forward differences on the
 right, so that div sigma_i = q_i holds up to the corrector residual).
-Growth profiles read the components' rfft half spectra from one stream,
-``extended_spectra(a, phi)``, which takes each sigma row's straight from its
-right-hand side.  A ``CorrectorSet`` holds phi, q, a_hom and sigma; the
-gradients of phi are taken where they are read.
+The components of (phi, sigma) come one at a time from two streams on phi
+alone, which make each q_i when it is reached: ``extended_rows(a, phi)`` in
+real space and ``extended_spectra(a, phi)`` as rfft half spectra, each sigma
+row's spectrum straight from its right-hand side.  A ``CorrectorSet`` holds
+the coefficients, phi, a_hom and the solve reports; its q and sigma are made
+on each access, and the gradients of phi where they are read.
 """
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import rfftn
 
 from .elliptic import SolveOptions, solve_divform
-from .lattice import (GridSpec, _inverse_laplacian, _pdiff, grad, load_field,
-                      poisson_solve, save_field)
+from .lattice import (_inverse_laplacian, _pdiff, grad, poisson_solve,
+                      save_field)
 from .randomfield import CoefficientField
 
 __all__ = [
@@ -32,10 +34,9 @@ __all__ = [
     "compute_sigma",
     "sigma_component",
     "build_corrector_set",
-    "extended_components",
+    "extended_rows",
     "extended_spectra",
     "save_corrector_set",
-    "load_corrector_set",
 ]
 
 
@@ -51,18 +52,13 @@ class SkewField:
     values: np.ndarray
     d: int
 
-    @property
-    def pairs(self):
-        return _pairs(self.d)
-
     def component(self, i, j, k):
         if j == k:
             return np.zeros(self.values.shape[2:])
         sign = 1.0
         if j > k:
             j, k, sign = k, j, -1.0
-        p = self.pairs.index((j, k))
-        return sign * self.values[i, p]
+        return sign * self.values[i, _pairs(self.d).index((j, k))]
 
     def divergence(self):
         """(div sigma_i)_j = sum_k d_k sigma_ijk, backward differences;
@@ -80,13 +76,23 @@ class SkewField:
 
 @dataclass
 class CorrectorSet:
-    grid: GridSpec
+    """The d correctors of the coefficients ``a``, a_hom and the solve
+    reports; q and sigma are made from them on each access."""
+
+    a: CoefficientField
     phi: np.ndarray              # (d,) + grid
-    q: np.ndarray                # (d, d) + grid, [i, j] = (q_i)_j
     a_hom: np.ndarray            # (d, d)
-    sigma: SkewField
-    lam_eff: float
-    reports: list = field(default_factory=list)
+    reports: list
+
+    @property
+    def q(self):
+        """(d, d) + grid, [i, j] = (q_i)_j, made on each access."""
+        return compute_flux_and_ahom(self.a, self.phi)[0]
+
+    @property
+    def sigma(self):
+        """``compute_sigma(q)``, made on each access."""
+        return compute_sigma(self.q)
 
 
 def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
@@ -142,13 +148,15 @@ def compute_flux_and_ahom(a: CoefficientField, phi):
     return q, a_hom
 
 
-def _curls(q):
-    """The right-hand side of sigma_ijk for each q_i of ``q`` in turn and its
-    pairs j < k in order, each made when it is reached."""
-    for q_i in q:
-        for j, k in _pairs(q_i.shape[0]):
+def _curls(a: CoefficientField, phi):
+    """The right-hand side of sigma_ijk for each i in turn and its pairs
+    j < k in order, each made when it is reached from q_i, itself made from
+    phi_i when reached."""
+    for i, phi_i in enumerate(phi):
+        q_i = _flux(a, grad(phi_i), i)[0]
+        for j, k in _pairs(a.grid.d):
             yield _curl(q_i, j, k)
-        del q_i  # before a stream makes the next one
+        del q_i  # before the stream makes the next one
 
 
 def compute_sigma(q):
@@ -156,9 +164,9 @@ def compute_sigma(q):
     differences on the right; spectrally exact, zero mean."""
     d = q.shape[0]
     vals = np.zeros((d, len(_pairs(d))) + q.shape[2:])
-    rows = vals.reshape((-1,) + q.shape[2:])
-    for p, curl in enumerate(_curls(q)):
-        rows[p] = poisson_solve(curl)
+    for i in range(d):
+        for p, (j, k) in enumerate(_pairs(d)):
+            vals[i, p] = poisson_solve(_curl(q[i], j, k))
     return SkewField(vals, d)
 
 
@@ -168,49 +176,51 @@ def sigma_component(a: CoefficientField, phi_i, i, j, k):
     return poisson_solve(_curl(_flux(a, grad(phi_i), i)[0], j, k))
 
 
+def extended_rows(a: CoefficientField, phi):
+    """The components of the extended corrector (phi, sigma), made when
+    reached: phi's rows, then sqrt(2) sigma_ijk for each i and pair j < k,
+    so that the plain sum of squares is |(phi, sigma)|^2 (each unordered
+    pair stands for both orderings); neither q nor sigma is held whole.
+    ``phi`` must hold all d correctors."""
+    yield from phi
+    for curl in _curls(a, phi):
+        yield poisson_solve(curl) * np.sqrt(2.0)
+
+
 def extended_spectra(a: CoefficientField, phi):
-    """rfftn of each row of ``extended_components(phi, compute_sigma(q))``,
-    made when reached: phi's rows, then each sigma row's spectrum
-    sqrt(2) K^-1 rfftn(curl), its q_i made from phi_i when reached, with
-    neither q nor sigma held whole; ``phi`` must hold all d correctors."""
+    """rfftn of each of ``extended_rows(a, phi)``, made when reached: each
+    sigma row's spectrum is sqrt(2) K^-1 rfftn(curl)."""
     yield from map(rfftn, phi)
     mult = np.sqrt(2.0) * _inverse_laplacian(phi.shape[1:])
-    q = (_flux(a, grad(phi_i), i)[0] for i, phi_i in enumerate(phi))
-    for spec in map(rfftn, _curls(q)):
+    for spec in map(rfftn, _curls(a, phi)):
         yield np.multiply(spec, mult, out=spec)
 
 
-def extended_components(phi, sigma: SkewField):
-    """Stacked components of the extended corrector (phi, sigma) scaled so
-    that the plain sum of squares equals |(phi, sigma)|^2 (each unordered
-    sigma pair stands for both orderings, hence the sqrt(2) weight)."""
-    return np.stack(list(phi) + [
-        values * np.sqrt(2.0)
-        for values in sigma.values.reshape((-1,) + phi.shape[1:])])
-
-
 def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):
-    """Correctors of all d directions, their fluxes, a_hom and sigma."""
+    """Correctors of all d directions and a_hom, whose column i is the mean
+    of a (grad phi_i + e_i); no flux is kept."""
     phi, reports = compute_corrector(a, opts)
-    q, a_hom = compute_flux_and_ahom(a, phi)
-    return CorrectorSet(a.grid, phi, q, a_hom, compute_sigma(q), a.lam_eff,
-                        reports)
+    a_hom = np.stack([_flux(a, grad(phi_i), i)[1]
+                      for i, phi_i in enumerate(phi)], axis=1)
+    return CorrectorSet(a, phi, a_hom, reports)
 
 
 def save_corrector_set(corr: CorrectorSet, outdir):
-    """Directory of binary fields plus a JSON summary."""
+    """Directory of binary fields (phi, q and sigma, q made once) plus a
+    JSON summary."""
     os.makedirs(outdir, exist_ok=True)
-    d = corr.grid.d
+    d = corr.a.grid.d
+    q = corr.q
     save_field(os.path.join(outdir, "phi.bin"), corr.phi, d)
-    save_field(os.path.join(outdir, "q.bin"), corr.q, d)
-    save_field(os.path.join(outdir, "sigma.bin"), corr.sigma.values, d)
+    save_field(os.path.join(outdir, "q.bin"), q, d)
+    save_field(os.path.join(outdir, "sigma.bin"), compute_sigma(q).values, d)
     energy = [float(np.mean(grad(corr.phi[i]) ** 2) * d) for i in range(d)]
     summary = {
         "schema": 1,
         "d": d,
-        "n": corr.grid.n,
+        "n": corr.a.grid.n,
         "a_hom": corr.a_hom.tolist(),
-        "lambda_eff": corr.lam_eff,
+        "lambda_eff": corr.a.lam_eff,
         "residuals": [r.residual for r in corr.reports],
         "gradient_energy": energy,
     }
@@ -218,15 +228,3 @@ def save_corrector_set(corr: CorrectorSet, outdir):
         json.dump(summary, fh, sort_keys=True, indent=2)
     return summary
 
-
-def load_corrector_set(outdir):
-    with open(os.path.join(outdir, "summary.json")) as fh:
-        summary = json.load(fh)
-    d, n = summary["d"], summary["n"]
-    grid = GridSpec(d, n)
-    phi = load_field(os.path.join(outdir, "phi.bin")).reshape((d,) + grid.shape)
-    q = load_field(os.path.join(outdir, "q.bin")).reshape((d, d) + grid.shape)
-    sig = load_field(os.path.join(outdir, "sigma.bin"))
-    sigma = SkewField(sig.reshape((d, len(_pairs(d))) + grid.shape), d)
-    return CorrectorSet(grid, phi, q, np.array(summary["a_hom"]), sigma,
-                        summary["lambda_eff"], [])

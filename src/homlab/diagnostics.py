@@ -1,14 +1,14 @@
-"""Large-scale regularity functionals: excess, non-degeneracy, mean-value
-ratios, the minimal radius and growth profiles."""
+"""Large-scale regularity functionals: excess, non-degeneracy, the minimal
+radius and growth profiles."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import CorrectorSet, extended_components
+from .corrector import CorrectorSet, extended_rows
 from .elliptic import SolveOptions, solve_dirichlet_ball
 from .lattice import (Ball, GridSpec, _grad_at, _offsets, ball_mask, grad,
-                      mean_ball_variance, periodic_dist_sq)
+                      mean_ball_variance)
 
 __all__ = [
     "ExcessReport",
@@ -54,13 +54,13 @@ class GrowthProfile:
     regime: str
 
 
-def dyadic_radii(grid: GridSpec, lo=1.0, hi=None):
-    if not lo > 0:  # doubling would never pass hi
+def dyadic_radii(grid: GridSpec, lo=1.0):
+    """lo, 2 lo, 4 lo, ... up to L/8."""
+    if not lo > 0:  # doubling would never pass L/8
         raise ValueError(f"lowest dyadic radius must be positive, got {lo}")
-    hi = hi if hi is not None else grid.n / 8
     radii = []
     r = float(lo)
-    while r <= hi + 1e-9:
+    while r <= grid.n / 8 + 1e-9:
         radii.append(r)
         r *= 2.0
     return np.array(radii)
@@ -70,7 +70,7 @@ def excess(grad_u, corr: CorrectorSet, ball: Ball, cond_limit=1e10):
     """Deviation of grad u on the ball from the best corrected-affine
     gradient xi + grad phi_xi, via the d x d normal equations; grad phi
     is taken at the ball's cells only."""
-    grid = corr.grid
+    grid = corr.a.grid
     d = grid.d
     gram = np.zeros((d, d))
     b = np.zeros(d)
@@ -94,35 +94,36 @@ def excess(grad_u, corr: CorrectorSet, ball: Ball, cond_limit=1e10):
     return ExcessReport(ball.radius, max(exc, 0.0), xi, gram)
 
 
-def _centered_variance(comps, mask):
-    """sum over components of their variance on the cells of ``mask``."""
-    inside = comps[:, mask]
-    return float(sum(np.mean(inside**2, axis=1) - np.mean(inside, axis=1)**2))
+def _ball_variances(corr: CorrectorSet, center):
+    """The dyadic radii R in [1, L/8] and, per R, (1/R^2) times the sum
+    over the rows of ``extended_rows`` of their variance on B_R(center):
+    the rows are made once, and each ball's mask once."""
+    radii = dyadic_radii(corr.a.grid)
+    masks = [ball_mask(corr.a.grid, Ball(center, r)) for r in radii]
+    vals = np.zeros(len(radii))
+    for row in extended_rows(corr.a, corr.phi):
+        for m, mask in enumerate(masks):
+            inside = row[mask]
+            vals[m] += np.mean(inside**2) - np.mean(inside)**2
+    return radii, vals / radii**2
+
+
+def _smallest_radius(radii, vals, delta):
+    """The report of the smallest dyadic r whose whole dyadic tail has
+    ``vals`` <= delta; inf sentinel if none."""
+    if not delta > 0:  # raises for nan too
+        raise ValueError(f"delta must be positive, got {delta}")
+    tail_ok = np.logical_and.accumulate((vals <= delta)[::-1])[::-1]
+    hits = np.nonzero(tail_ok)[0]
+    r_star = float(radii[hits[0]]) if hits.size else np.inf
+    return MinimalRadiusReport(r_star, float(delta), radii, vals)
 
 
 def minimal_radius(corr: CorrectorSet, delta, center=None):
     """Smallest dyadic r with (1/R^2) fint_{B_R} |(phi, sigma) - mean|^2
     <= delta for every dyadic R in [r, L/8]; inf sentinel if none."""
-    if not delta > 0:  # raises for nan too
-        raise ValueError(f"delta must be positive, got {delta}")
-    grid = corr.grid
-    center = tuple(center) if center is not None else (0.0,) * grid.d
-    comps = extended_components(corr.phi, corr.sigma)
-    radii = dyadic_radii(grid)
-    d2 = periodic_dist_sq(grid, center)
-    vals = []
-    for r in radii:
-        Ball(center, r).validate(grid)
-        vals.append(_centered_variance(comps, d2 <= r**2) / r**2)
-    vals = np.array(vals)
-    ok = vals <= delta
-    r_star = np.inf
-    # smallest r whose whole dyadic tail satisfies the threshold
-    tail_ok = np.logical_and.accumulate(ok[::-1])[::-1]
-    hits = np.nonzero(tail_ok)[0]
-    if hits.size:
-        r_star = float(radii[hits[0]])
-    return MinimalRadiusReport(r_star, float(delta), radii, vals)
+    center = tuple(center) if center is not None else (0.0,) * corr.a.grid.d
+    return _smallest_radius(*_ball_variances(corr, center), delta)
 
 
 def harmonic_quadratic(a_hom, grid: GridSpec, center, rng):
@@ -144,14 +145,16 @@ def harmonic_quadratic(a_hom, grid: GridSpec, center, rng):
     return out
 
 
-def excess_decay_experiment(a, corr: CorrectorSet, R, r_list, rng,
+def excess_decay_experiment(corr: CorrectorSet, R, r_list, rng,
                             opts: SolveOptions = None):
-    """Excess-decay table for an a-harmonic function with random
-    a_hom-harmonic quadratic boundary data on B_R, balls at the origin."""
-    grid = corr.grid
+    """Excess-decay table for an a-harmonic function, a = ``corr.a``, with
+    random a_hom-harmonic quadratic boundary data on B_R, balls at the
+    origin."""
+    grid = corr.a.grid
     center = (0.0,) * grid.d
     boundary = harmonic_quadratic(corr.a_hom, grid, center, rng)
-    u, rep = solve_dirichlet_ball(a, Ball(center, float(R)), boundary, opts)
+    u, rep = solve_dirichlet_ball(corr.a, Ball(center, float(R)), boundary,
+                                  opts)
     gu = grad(u)
     rows = []
     for r in r_list:

@@ -9,9 +9,10 @@ import numpy as np
 from scipy.fft import fftfreq, rfftfreq
 
 from .corrector import (build_corrector_set, compute_corrector,
-                        extended_components, extended_spectra)
-from .diagnostics import (dyadic_radii, excess_decay_experiment,
-                          growth_profile, minimal_radius)
+                        extended_rows, extended_spectra)
+from .diagnostics import (_ball_variances, _smallest_radius, dyadic_radii,
+                          excess_decay_experiment, growth_profile,
+                          minimal_radius)
 from .elliptic import SolveOptions, solve_divform_rhs
 from .lattice import Ball, GridSpec, ball_average, grad, spectral_solve
 from .randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
@@ -140,12 +141,10 @@ def _run_growth(plan, index):
 def _run_tail(plan, index):
     a = sample_coefficients(plan, index)
     corr = build_corrector_set(a, plan.opts())
-    deltas = plan.deltas or (plan.delta,)
-    vals = {}
-    for delta in deltas:
-        rep = minimal_radius(corr, delta)
-        vals[f"rstar_d{delta:g}"] = rep.r_star
-    return vals
+    # the rows are made once, and the profile thresholded per delta
+    profile = _ball_variances(corr, (0.0,) * plan.d)
+    return {f"rstar_d{delta:g}": _smallest_radius(*profile, delta).r_star
+            for delta in plan.deltas or (plan.delta,)}
 
 
 def _run_twoscale(plan, index):
@@ -175,8 +174,8 @@ def _run_twoscale(plan, index):
         hess = np.stack([grad(gh[i]) for i in range(grid.d)])
         # error bound prefactor: per-realization extended-corrector norm
         # (the random field C(x) controlling the local corrector size)
-        comps = extended_components(corr.phi, corr.sigma)
-        cnorm = float(np.sqrt(sum(np.mean(c**2) for c in comps)))
+        cnorm = float(np.sqrt(sum(np.mean(c**2)
+                                  for c in extended_rows(a, phi))))
         # Hessian in macroscopic units (data varies on scale n = 1/eps)
         den = cnorm * n * float(np.sqrt(np.mean(np.sum(hess**2,
                                                        axis=(0, 1)))))
@@ -199,7 +198,7 @@ def _run_excess(plan, index):
     if len(r_list) < 2:
         r_list = [r for r in dyadic_radii(grid) if r >= 2.0][-2:]
     rng = _aux_rng(plan, index)
-    rows, slope, solve = excess_decay_experiment(a, corr, big_r, r_list, rng,
+    rows, slope, solve = excess_decay_experiment(corr, big_r, r_list, rng,
                                                  plan.opts())
     if not solve.converged:
         raise RuntimeError(f"Dirichlet-ball solve failed: {solve}")

@@ -233,8 +233,7 @@ def ball_mean_field(u, radius, grid: GridSpec):
     Periodic convolution with the (symmetric) ball indicator, so this is
     exact up to floating point.
     """
-    if radius > grid.n / 4:
-        raise ValueError(f"ball radius {radius} exceeds L/4 = {grid.n / 4}")
+    Ball((0.0,) * grid.d, radius).validate(grid)  # raises for nan too
     return _spectral_multiply(u, _ball_kernel_hat(grid, radius))
 
 

@@ -1,12 +1,11 @@
 import dataclasses
 import json
 import os
-import sys
 
 import numpy as np
 import pytest
 
-from homlab import cli, corrector
+from homlab import cli
 from homlab.cli import main, parse_config
 from homlab.ensemble import ExperimentPlan
 
@@ -274,23 +273,3 @@ class TestCommands:
             cells = row.split(",")
             assert len(cells) == 3
             assert all(np.isfinite(float(c)) for c in cells)
-
-    def test_diagnose_stacks_the_extended_components_once(self, tmp_path,
-                                                          monkeypatch):
-        # growth_profile reads their spectra one at a time; only
-        # minimal_radius stacks them
-        real = corrector.extended_components
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if (name.startswith("homlab")
-                    and getattr(mod, "extended_components", None) is real):
-                monkeypatch.setattr(mod, "extended_components", counted)
-        cfg = _write(tmp_path, "grid = 32\nradii = 2, 4\n")
-        out = tmp_path / "out"
-        assert main(["--config", cfg, "--out", str(out), "diagnose"]) == 0
-        assert len(calls) == 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.fft import rfftn
@@ -6,12 +8,13 @@ import homlab.corrector
 
 from homlab.corrector import (SkewField, build_corrector_set,
                               compute_corrector, compute_flux_and_ahom,
-                              compute_sigma, extended_components,
-                              extended_spectra, load_corrector_set,
-                              save_corrector_set, sigma_component)
+                              compute_sigma, extended_rows,
+                              extended_spectra, save_corrector_set,
+                              sigma_component)
 from homlab.elliptic import SolveOptions
 from homlab.diagnostics import growth_profile
-from homlab.lattice import GridSpec, div, grad, mean_ball_variance
+from homlab.lattice import (GridSpec, div, grad, load_field,
+                            mean_ball_variance)
 from homlab.randomfield import (CoefficientField, CoefficientModel,
                                 CovarianceSpec, SeedSpec,
                                 constant_coefficients, sample_gaussian,
@@ -27,6 +30,14 @@ def _random_field(seed=0, nu=0.0, grid=GRID):
     g2 = (sample_gaussian(spec, grid, SeedSpec(seed, 0, salt=1))
           if nu else None)
     return to_coefficients(g1, CoefficientModel(0.25, nu), g2, grid)
+
+
+def _stacked(phi, sigma: SkewField):
+    """phi's rows and sqrt(2) times the stored sigma rows, stacked: the
+    extended components as a set that held sigma stacked them."""
+    return np.stack(list(phi) + [
+        values * np.sqrt(2.0)
+        for values in sigma.values.reshape((-1,) + phi.shape[1:])])
 
 
 def _laminate(vals, n=32):
@@ -196,17 +207,55 @@ class TestSigma:
         assert np.all(s.values == 0.0)
 
 
+class TestCorrectorSet:
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 16)])
+    def test_holds_phi_and_a_hom_only(self, grid):
+        # beyond its coefficients a set holds d + a_hom's few cells; one
+        # that stored q and sigma held 8 grid fields in 2D and 21 in 3D
+        a = _random_field(12, grid=grid)
+        corr = build_corrector_set(a, OPTS)
+        held = 0
+        for value in vars(corr).values():
+            if isinstance(value, SkewField):
+                value = value.values
+            if isinstance(value, np.ndarray):
+                held += value.nbytes
+        assert held <= (grid.d + 1) * a.a[0, 0].nbytes
+
+    @pytest.mark.parametrize("nu", [0.0, 0.1])
+    def test_q_and_sigma_are_made_from_phi(self, nu):
+        a = _random_field(13, nu)
+        corr = build_corrector_set(a, OPTS)
+        q, a_hom = compute_flux_and_ahom(a, corr.phi)
+        assert np.array_equal(corr.q, q)
+        assert np.array_equal(corr.a_hom, a_hom)
+        assert np.array_equal(corr.sigma.values, compute_sigma(q).values)
+
+
 class TestExtended:
     def test_component_count_and_norm(self):
         a = _random_field(9)
         corr = build_corrector_set(a, OPTS)
-        comps = extended_components(corr.phi, corr.sigma)
+        comps = np.stack(list(extended_rows(a, corr.phi)))
         assert comps.shape[0] == 4  # d phi components + d * (one pair) in d=2
         # sum of squares equals |phi|^2 + |sigma|^2 over the full skew tensor
-        full = sum(np.sum(corr.sigma.component(i, j, k) ** 2)
+        sigma = corr.sigma
+        full = sum(np.sum(sigma.component(i, j, k) ** 2)
                    for i in range(2) for j in range(2) for k in range(2))
         got = np.sum(comps**2) - np.sum(corr.phi**2)
         assert np.isclose(got, full)
+
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 16)])
+    def test_rows_equal_the_stored_sigma_stack(self, grid):
+        # the real-space stream makes each q_i from phi_i when reached and
+        # gives the components a stored sigma gave, bit for bit
+        a = _random_field(14, nu=0.1, grid=grid)
+        phi, _ = compute_corrector(a, OPTS)
+        q, _ = compute_flux_and_ahom(a, phi)
+        want = _stacked(phi, compute_sigma(q))
+        rows = list(extended_rows(a, phi))
+        assert len(rows) == len(want)
+        assert all(np.array_equal(r, w) for r, w in zip(rows, want))
 
     def test_growth_profile_streams_the_same_components(self):
         # the profile reads half spectra one at a time: the stream, which
@@ -214,7 +263,7 @@ class TestExtended:
         # components' rfftn up to rounding
         a = _random_field(9, nu=0.1)
         corr = build_corrector_set(a, OPTS)
-        comps = extended_components(corr.phi, corr.sigma)
+        comps = _stacked(corr.phi, corr.sigma)
         radii = (1.0, 2.0, 4.0)
         want = mean_ball_variance([rfftn(c) for c in comps], radii, GRID)
         got = growth_profile(extended_spectra(a, corr.phi), GRID,
@@ -229,7 +278,7 @@ class TestExtended:
         a = _random_field(11, nu=0.1, grid=grid)
         phi, _ = compute_corrector(a, OPTS)
         q, _ = compute_flux_and_ahom(a, phi)
-        want = [rfftn(c) for c in extended_components(phi, compute_sigma(q))]
+        want = [rfftn(c) for c in _stacked(phi, compute_sigma(q))]
         rows = list(extended_spectra(a, phi))
         assert len(rows) == len(want)
         d = grid.d
@@ -239,13 +288,16 @@ class TestExtended:
 
 
 class TestIO:
-    def test_roundtrip(self, tmp_path):
-        a = _random_field(10)
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 16)])
+    def test_saved_files_match_the_set(self, tmp_path, grid):
+        a = _random_field(10, grid=grid)
         corr = build_corrector_set(a, OPTS)
-        summary = save_corrector_set(corr, tmp_path)
-        back = load_corrector_set(tmp_path)
-        assert np.array_equal(back.phi, corr.phi)
-        assert np.array_equal(back.q, corr.q)
-        assert np.array_equal(back.sigma.values, corr.sigma.values)
-        assert np.allclose(back.a_hom, corr.a_hom)
+        save_corrector_set(corr, tmp_path)
+        for name, want in (("phi", corr.phi), ("q", corr.q),
+                           ("sigma", corr.sigma.values)):
+            got = load_field(tmp_path / f"{name}.bin")
+            assert np.array_equal(got, want.reshape(got.shape))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["a_hom"] == corr.a_hom.tolist()
+        assert summary["residuals"] == [r.residual for r in corr.reports]
         assert summary["residuals"][0] <= 1e-11

@@ -1,11 +1,12 @@
 import csv
 import io
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from homlab import diagnostics, ensemble, kernels
+from homlab import diagnostics, ensemble, kernels, lattice
 from homlab.elliptic import SolveReport
 from homlab.ensemble import (ExperimentPlan, fit_linear, fit_power_law,
                              fit_tail, records_to_csv, run_ensemble,
@@ -81,6 +82,29 @@ class TestGrowthMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 21.5 * 64**2 * 8
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tail_makes_the_sigma_rows_once(self, d, monkeypatch):
+        # one Poisson solve per sigma row, d * d(d-1)/2 of them, however
+        # many thresholds the realization reads
+        real = lattice.poisson_solve
+        calls = []
+
+        def counted(rhs):
+            calls.append(None)
+            return real(rhs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("homlab")
+                    and getattr(mod, "poisson_solve", None) is real):
+                monkeypatch.setattr(mod, "poisson_solve", counted)
+        plan = ExperimentPlan(kind="tail", d=d, n=16 if d == 3 else 32,
+                              gamma=2.5 if d == 2 else 3.5, m=2,
+                              deltas=(1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0))
+        vals = ensemble._run_tail(plan, 0)
+        assert sorted(vals) == ["rstar_d0.03125", "rstar_d0.0625",
+                                "rstar_d0.125"]
+        assert len(calls) == d * d * (d - 1) // 2
 
 
 class TestFits:

@@ -253,6 +253,13 @@ class TestBalls:
             want = ball_average(u, Ball((float(c[0]), float(c[1])), 4.0), g)
             assert np.isclose(mf[c], want)
 
+    @pytest.mark.parametrize("radius", [-2.0, np.nan, 0.25])
+    def test_mean_field_rejects_radius_off_the_ball_range(self, radius):
+        # unchecked, -2 gave the radius-2 field and nan an all-nan one
+        g = GridSpec(2, 32)
+        with pytest.raises(ValueError, match="outside"):
+            ball_mean_field(np.zeros(g.shape), radius, g)
+
     def test_periodic_distance_wraps(self):
         g = GridSpec(2, 16)
         d2 = periodic_dist_sq(g, (0.0, 0.0))
