@@ -6,9 +6,11 @@ q_i = a (grad phi_i + e_i) - a_hom e_i with a_hom e_i the torus mean of
 a (grad phi_i + e_i), and the flux corrector sigma_ijk solves
 -lap sigma_ijk = d_j q_ik - d_k q_ij spectrally (forward differences on the
 right, so that div sigma_i = q_i holds up to the corrector residual).
-The components of (phi, sigma) come one at a time from two streams on phi
-alone, which make each q_i when it is reached: ``extended_rows(a, phi)`` in
-real space and ``extended_spectra(a, phi)`` as rfft half spectra, each sigma
+Every sigma is made from one stream of right-hand sides on phi alone, which
+makes each q_i when it is reached and raises unless phi holds all d rows:
+``compute_sigma(a, phi)`` stacks their Poisson solves, and the components
+of (phi, sigma) come one at a time from ``extended_rows(a, phi)`` in real
+space and ``extended_spectra(a, phi)`` as rfft half spectra, each sigma
 row's spectrum straight from its right-hand side.  A ``CorrectorSet`` holds
 the coefficients, phi, a_hom and the solve reports; its q and sigma are made
 on each access, and the gradients of phi where they are read.
@@ -17,6 +19,7 @@ on each access, and the gradients of phi where they are read.
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.fft import rfftn
@@ -91,8 +94,8 @@ class CorrectorSet:
 
     @property
     def sigma(self):
-        """``compute_sigma(q)``, made on each access."""
-        return compute_sigma(self.q)
+        """``compute_sigma(a, phi)``, made on each access."""
+        return compute_sigma(self.a, self.phi)
 
 
 def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
@@ -151,22 +154,31 @@ def compute_flux_and_ahom(a: CoefficientField, phi):
 def _curls(a: CoefficientField, phi):
     """The right-hand side of sigma_ijk for each i in turn and its pairs
     j < k in order, each made when it is reached from q_i, itself made from
-    phi_i when reached."""
-    for i, phi_i in enumerate(phi):
-        q_i = _flux(a, grad(phi_i), i)[0]
-        for j, k in _pairs(a.grid.d):
-            yield _curl(q_i, j, k)
-        del q_i  # before the stream makes the next one
+    phi_i when reached.  Raises ValueError at the call, before anything is
+    made, unless ``phi`` holds all d correctors: a row's position is its
+    direction."""
+    d = a.grid.d
+    if len(phi) != d:
+        raise ValueError(f"need all {d} correctors, got {len(phi)}")
+
+    def stream():
+        for i, phi_i in enumerate(phi):
+            q_i = _flux(a, grad(phi_i), i)[0]
+            for j, k in _pairs(d):
+                yield _curl(q_i, j, k)
+            del q_i  # before the stream makes the next one
+
+    return stream()
 
 
-def compute_sigma(q):
+def compute_sigma(a: CoefficientField, phi):
     """sigma_ijk solving -lap sigma_ijk = d_j q_ik - d_k q_ij with forward
-    differences on the right; spectrally exact, zero mean."""
-    d = q.shape[0]
-    vals = np.zeros((d, len(_pairs(d))) + q.shape[2:])
-    for i in range(d):
-        for p, (j, k) in enumerate(_pairs(d)):
-            vals[i, p] = poisson_solve(_curl(q[i], j, k))
+    differences on the right, each q_i made from phi_i when reached;
+    spectrally exact, zero mean.  ``phi`` must hold all d correctors."""
+    d, curls = a.grid.d, _curls(a, phi)
+    vals = np.empty((d, len(_pairs(d))) + a.grid.shape)
+    for row, curl in zip(vals.reshape((-1,) + a.grid.shape), curls):
+        row[...] = poisson_solve(curl)
     return SkewField(vals, d)
 
 
@@ -181,19 +193,18 @@ def extended_rows(a: CoefficientField, phi):
     reached: phi's rows, then sqrt(2) sigma_ijk for each i and pair j < k,
     so that the plain sum of squares is |(phi, sigma)|^2 (each unordered
     pair stands for both orderings); neither q nor sigma is held whole.
-    ``phi`` must hold all d correctors."""
-    yield from phi
-    for curl in _curls(a, phi):
-        yield poisson_solve(curl) * np.sqrt(2.0)
+    ``phi`` must hold all d correctors, else ValueError at the call."""
+    curls = _curls(a, phi)
+    return chain(phi, (poisson_solve(c) * np.sqrt(2.0) for c in curls))
 
 
 def extended_spectra(a: CoefficientField, phi):
     """rfftn of each of ``extended_rows(a, phi)``, made when reached: each
     sigma row's spectrum is sqrt(2) K^-1 rfftn(curl)."""
-    yield from map(rfftn, phi)
-    mult = np.sqrt(2.0) * _inverse_laplacian(phi.shape[1:])
-    for spec in map(rfftn, _curls(a, phi)):
-        yield np.multiply(spec, mult, out=spec)
+    curls = _curls(a, phi)
+    mult = np.sqrt(2.0) * _inverse_laplacian(a.grid.shape)
+    return chain(map(rfftn, phi), (np.multiply(s, mult, out=s)
+                                   for s in map(rfftn, curls)))
 
 
 def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):
@@ -206,14 +217,12 @@ def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):
 
 
 def save_corrector_set(corr: CorrectorSet, outdir):
-    """Directory of binary fields (phi, q and sigma, q made once) plus a
-    JSON summary."""
+    """Directory of binary fields (phi, q and sigma) plus a JSON summary."""
     os.makedirs(outdir, exist_ok=True)
     d = corr.a.grid.d
-    q = corr.q
     save_field(os.path.join(outdir, "phi.bin"), corr.phi, d)
-    save_field(os.path.join(outdir, "q.bin"), q, d)
-    save_field(os.path.join(outdir, "sigma.bin"), compute_sigma(q).values, d)
+    save_field(os.path.join(outdir, "q.bin"), corr.q, d)
+    save_field(os.path.join(outdir, "sigma.bin"), corr.sigma.values, d)
     energy = [float(np.mean(grad(corr.phi[i]) ** 2) * d) for i in range(d)]
     summary = {
         "schema": 1,

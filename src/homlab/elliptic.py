@@ -8,8 +8,11 @@ K = -lap by FFT and b = diag(1/a_ii): symmetric positive definite on
 mean-zero fields, and the exact inverse for a = c Id and for a laminate's
 corrector in the layered direction.  A Dirichlet-ball problem, solved on
 its cropped box, is preconditioned by the inverse of ``c0 (-lap)`` by
-DST-I, c0 the mean diagonal.  Residuals are always recomputed from scratch
-on the torus; iterations are the Krylov steps completed.
+DST-I, c0 the mean diagonal.  The dispatch owns the one epilogue: a
+non-finite rhs raises, a zero rhs is finished at x = 0 after 0 steps (ball
+data the interior stencil never reads give 0 inside), and the residual,
+recomputed from scratch by each problem's ``finish``, is relative to
+|rhs|.  Iterations are the Krylov steps completed.
 """
 
 import math
@@ -52,11 +55,6 @@ class SolveReport:
     converged: bool
 
 
-def _mean_diagonal(field: CoefficientField):
-    """c0 of the ball's DST-I preconditioner."""
-    return float(np.mean([field.a[i, i].mean() for i in range(field.grid.d)]))
-
-
 def _spectral_inverse(field: CoefficientField):
     """The torus preconditioner of the module docstring; the zero mode is
     projected out."""
@@ -76,12 +74,21 @@ class _NonFinite(Exception):
     """Raised from the Krylov callback with a non-finite iterate."""
 
 
-def _krylov(field: CoefficientField, matvec, b, precond, opts: SolveOptions):
-    """scipy's CG for symmetric coefficients, BiCGStab otherwise, on
-    grid-shaped arrays, preconditioned by ``precond``.  Returns (x, steps
-    completed); a breakdown or a non-finite iterate is not an error, the
-    caller's recomputed residual decides."""
-    shape, size = b.shape, b.size
+def _krylov(field: CoefficientField, matvec, rhs, precond, opts: SolveOptions,
+            finish):
+    """Solve ``matvec(x) = rhs`` on grid-shaped arrays by scipy's CG for
+    symmetric coefficients, BiCGStab otherwise, preconditioned by
+    ``precond``.  ``finish(x)`` turns an iterate into the solution and
+    returns it with its residual norm; returns (solution, SolveReport), the
+    residual relative to |rhs|.  A zero ``rhs`` is finished at x = 0 after
+    0 steps.  A breakdown or a non-finite iterate is not an error: the
+    recomputed residual decides."""
+    bnorm = float(np.linalg.norm(rhs))
+    if not math.isfinite(bnorm):  # a Krylov solve would not stop on it
+        raise RuntimeError(f"right-hand side is not finite: {bnorm}")
+    if bnorm == 0.0:
+        return finish(np.zeros_like(rhs))[0], SolveReport(0, 0.0, True)
+    shape, size = rhs.shape, rhs.size
 
     def operator(f):
         return LinearOperator((size, size), dtype=np.float64,
@@ -96,35 +103,33 @@ def _krylov(field: CoefficientField, matvec, b, precond, opts: SolveOptions):
 
     solver = cg if field.is_symmetric() else bicgstab
     try:
-        vec, _ = solver(operator(matvec), b.ravel(), rtol=0.1 * opts.tol,
+        vec, _ = solver(operator(matvec), rhs.ravel(), rtol=0.1 * opts.tol,
                         atol=0.0, maxiter=opts.max_iter, M=operator(precond),
                         callback=callback)
     except _NonFinite as stop:
         vec = stop.args[0]
-    return vec.reshape(shape), len(steps)
+    u, res = finish(vec.reshape(shape))
+    res /= bnorm
+    return u, SolveReport(len(steps), res, res <= opts.tol)
 
 
 def solve_divform_rhs(field: CoefficientField, rhs,
                       opts: SolveOptions = None, overwrite_rhs=False):
     """The zero-mean u with -div(a grad u) = rhs - mean(rhs) on the
     torus; ``overwrite_rhs`` subtracts the mean from ``rhs`` in place."""
-    opts = opts or SolveOptions()
     rhs = np.asarray(rhs, dtype=np.float64)
     rhs = np.subtract(rhs, rhs.mean(), out=rhs if overwrite_rhs else None)
-    bnorm = float(np.linalg.norm(rhs))
-    if not math.isfinite(bnorm):  # a Krylov solve would not stop on it
-        raise RuntimeError(f"right-hand side is not finite: {bnorm}")
-    if bnorm == 0.0:
-        return np.zeros_like(rhs), SolveReport(0, 0.0, True)
     cols = kernels.coupled_columns(field.a)
 
     def matvec(u):
         return kernels.divform_apply(field.a, u, cols)
 
-    u, it = _krylov(field, matvec, rhs, _spectral_inverse(field), opts)
-    u -= u.mean()
-    res = float(np.linalg.norm(matvec(u) - rhs)) / bnorm
-    return u, SolveReport(it, res, res <= opts.tol)
+    def finish(u):
+        u -= u.mean()
+        return u, float(np.linalg.norm(matvec(u) - rhs))
+
+    return _krylov(field, matvec, rhs, _spectral_inverse(field),
+                   opts or SolveOptions(), finish)
 
 
 def solve_divform(field: CoefficientField, g, opts: SolveOptions = None):
@@ -166,7 +171,6 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
     """a-harmonic extension into the discrete ball: u = boundary outside,
     div(a grad u) = 0 at every interior cell to tolerance; the Krylov
     solve runs on ``_ball_box``."""
-    opts = opts or SolveOptions()
     mask = ball_mask(field.grid, ball)
     boundary = np.asarray(boundary, dtype=np.float64)
     box = _ball_box(field.grid, ball)
@@ -180,17 +184,15 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
 
     bc = np.where(inside, 0.0, boundary[box])
     rhs = np.where(inside, -kernels.divform_apply(a, bc, cols), 0.0)
-    bnorm = float(np.linalg.norm(rhs))
-    if not math.isfinite(bnorm):
-        raise RuntimeError(f"right-hand side is not finite: {bnorm}")
-    if bnorm == 0.0:
-        return boundary.copy(), SolveReport(0, 0.0, True)
-    u_in, it = _krylov(field, matvec, rhs,
-                       _dirichlet_inverse(_mean_diagonal(field), inside), opts)
-    u = boundary.copy()
-    u[box] = np.where(inside, u_in, boundary[box])
-    # every ball row's stencil lies in the box (see ``_ball_box``), so the
-    # box residual at ball cells is the torus one
-    res_in = np.where(inside, kernels.divform_apply(a, u[box], cols), 0.0)
-    res = float(np.linalg.norm(res_in)) / bnorm
-    return u, SolveReport(it, res, res <= opts.tol)
+
+    def finish(u_in):
+        # every ball row's stencil lies in the box (see ``_ball_box``), so
+        # the box residual at ball cells is the torus one
+        u, u_box = boundary.copy(), np.where(inside, u_in, bc)
+        u[box] = u_box
+        res = np.where(inside, kernels.divform_apply(a, u_box, cols), 0.0)
+        return u, float(np.linalg.norm(res))
+
+    c0 = float(np.mean([field.a[i, i].mean() for i in range(field.grid.d)]))
+    return _krylov(field, matvec, rhs, _dirichlet_inverse(c0, inside),
+                   opts or SolveOptions(), finish)

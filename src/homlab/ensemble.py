@@ -47,7 +47,7 @@ class ExperimentPlan:
     delta: float = 1.0 / 16.0
     deltas: tuple = ()
     radii: tuple = ()
-    grids: tuple = ()          # N ladder for the two-scale experiment
+    grids: tuple = (16, 32, 64)  # N ladder for the two-scale experiment
     tol: float = 1e-9
     max_iter: int = 100000
     constant_model: bool = False
@@ -65,6 +65,8 @@ class ExperimentPlan:
                                  f"[0.5, L/{frac}]")
         for n in self.grids:
             GridSpec(self.d, n)
+        if self.kind == "twoscale" and not self.grids:
+            raise ValueError("twoscale needs at least one grid")
         if not (self.delta > 0 and all(x > 0 for x in self.deltas)):
             raise ValueError("minimal-radius thresholds must be positive")
         self.opts()  # SolveOptions checks tol and max_iter
@@ -148,9 +150,8 @@ def _run_tail(plan, index):
 
 
 def _run_twoscale(plan, index):
-    grids = plan.grids or (16, 32, 64)
     vals = {}
-    for n in grids:
+    for n in plan.grids:
         grid = plan.grid(n)
         a = sample_coefficients(plan, index, n=n)
         opts = plan.opts()
@@ -273,31 +274,21 @@ def run_ensemble(plan: ExperimentPlan, progress=None):
 @dataclass
 class FitResult:
     slope: float
-    intercept: float
-    stderr: float
     r_squared: float
-    kind: str
     degenerate: bool = False
 
 
-def _least_squares(x, y, kind):
+def fit_linear(x, y):
+    """Least-squares line through (x, y): its slope and R^2."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size < 2:
         raise ValueError("need at least 2 points")
-    coef, res = np.polyfit(x, y, 1), None
-    slope, intercept = float(coef[0]), float(coef[1])
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
+    slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    if x.size > 2:
-        dof = x.size - 2
-        sxx = float(np.sum((x - x.mean()) ** 2))
-        stderr = float(np.sqrt(ss_res / dof / sxx))
-    else:
-        stderr = float("nan")  # exact interpolation, flagged undefined
-    return FitResult(slope, intercept, stderr, min(r2, 1.0), kind)
+    return FitResult(slope, r2)
 
 
 def fit_power_law(pairs):
@@ -309,11 +300,7 @@ def fit_power_law(pairs):
         raise ValueError("power-law fit needs positive data")
     x = np.log([r for r, _ in pairs])
     y = np.log([y for _, y in pairs])
-    return _least_squares(x, y, "log-log power law")
-
-
-def fit_linear(x, y, kind="linear"):
-    return _least_squares(x, y, kind)
+    return fit_linear(x, y)
 
 
 def fit_tail(samples, exponent):
@@ -324,8 +311,7 @@ def fit_tail(samples, exponent):
     if samples.size < 32:
         raise ValueError("need at least 32 finite samples")
     if np.all(samples == samples[0]):
-        return FitResult(0.0, 0.0, float("nan"), 1.0,
-                         "stretched-exponential tail", degenerate=True)
+        return FitResult(0.0, 1.0, degenerate=True)
     levels = np.unique(samples)
     xs, ys = [], []
     for r in levels:
@@ -334,9 +320,7 @@ def fit_tail(samples, exponent):
             continue
         xs.append(r**exponent)
         ys.append(np.log(p))
-    fit = _least_squares(np.array(xs), np.array(ys),
-                         "stretched-exponential tail")
-    return fit
+    return fit_linear(xs, ys)
 
 
 def records_to_csv(records):
@@ -376,7 +360,7 @@ def summarize(plan: ExperimentPlan, records):
                  for r in radii]
         out.update(radii=list(radii), V=means)
         if all(v > 0 for v in means):
-            logfit = fit_linear(np.log(radii), means, "V-vs-logR")
+            logfit = fit_linear(np.log(radii), means)
             out.update(loglinear_r_squared=logfit.r_squared,
                        loglinear_slope=logfit.slope,
                        ratio_last_first=means[-1] / means[0])
@@ -394,13 +378,13 @@ def summarize(plan: ExperimentPlan, records):
             except ValueError as exc:
                 out["fits"][f"{delta:g}"] = {"error": str(exc)}
     elif plan.kind == "twoscale":
-        grids = plan.grids or (16, 32, 64)
+        grids = list(plan.grids)
         errs = [float(np.sqrt(np.mean(
             [rec.values[f"err_n{n}"] ** 2 for rec in ok]))) for n in grids]
         crit = [float(np.median(
             [rec.values[f"critnorm_n{n}"] for rec in ok])) for n in grids]
         fit = fit_power_law([(1.0 / n, e) for n, e in zip(grids, errs)])
-        out.update(grids=list(grids), errors=errs, rate=fit.slope,
+        out.update(grids=grids, errors=errs, rate=fit.slope,
                    critical_normalized=crit,
                    critical_spread=max(crit) / min(crit))
     elif plan.kind == "excess":

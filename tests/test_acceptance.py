@@ -82,7 +82,7 @@ def test_criterion_02_structural_identities():
         a = sample_coefficients(plan, idx)
         corr = build_corrector_set(a, opts)
         q = corr.q
-        s = compute_sigma(q)
+        s = compute_sigma(a, corr.phi)
         worst_skew = max(worst_skew, float(np.max(np.abs(
             s.component(0, 0, 1) + s.component(0, 1, 0)))))
         ds = s.divergence()

@@ -18,9 +18,9 @@ def _write(tmp_path, text, name="cfg.txt"):
 
 class TestConfig:
     def test_defaults_when_missing(self):
-        want = {"dimension": 2, "grid": 64, "grids": (), "lambda": 0.25,
-                "gamma": 2.5, "skew": 0.0, "delta": 0.0625, "deltas": (),
-                "radii": (), "realizations": 8, "master_seed": 0,
+        want = {"dimension": 2, "grid": 64, "grids": (16, 32, 64),
+                "lambda": 0.25, "gamma": 2.5, "skew": 0.0, "delta": 0.0625,
+                "deltas": (), "radii": (), "realizations": 8, "master_seed": 0,
                 "tol": 1e-9, "max_iter": 100000, "constant": 0,
                 "beta": None, "region": 40.5, "fd_step": 1e-5}
         cfg = parse_config(None)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from homlab.corrector import (SkewField, build_corrector_set,
 from homlab.elliptic import SolveOptions
 from homlab.diagnostics import growth_profile
 from homlab.lattice import (GridSpec, div, grad, load_field,
-                            mean_ball_variance)
+                            mean_ball_variance, poisson_solve)
 from homlab.randomfield import (CoefficientField, CoefficientModel,
                                 CovarianceSpec, SeedSpec,
                                 constant_coefficients, sample_gaussian,
@@ -30,6 +31,18 @@ def _random_field(seed=0, nu=0.0, grid=GRID):
     g2 = (sample_gaussian(spec, grid, SeedSpec(seed, 0, salt=1))
           if nu else None)
     return to_coefficients(g1, CoefficientModel(0.25, nu), g2, grid)
+
+
+def _sigma_from_q(q):
+    """The flux correctors by their own curl loop over a whole q: the
+    formula ``compute_sigma`` had when it took q."""
+    d = q.shape[0]
+    pairs = homlab.corrector._pairs(d)
+    vals = np.zeros((d, len(pairs)) + q.shape[2:])
+    for i in range(d):
+        for p, (j, k) in enumerate(pairs):
+            vals[i, p] = poisson_solve(homlab.corrector._curl(q[i], j, k))
+    return SkewField(vals, d)
 
 
 def _stacked(phi, sigma: SkewField):
@@ -202,8 +215,8 @@ class TestSigma:
                                       want)
 
     def test_constant_zero(self):
-        q = np.zeros((2, 2) + GRID.shape)
-        s = compute_sigma(q)
+        a = constant_coefficients(GRID)
+        s = compute_sigma(a, np.zeros((2,) + GRID.shape))
         assert np.all(s.values == 0.0)
 
 
@@ -229,7 +242,21 @@ class TestCorrectorSet:
         q, a_hom = compute_flux_and_ahom(a, corr.phi)
         assert np.array_equal(corr.q, q)
         assert np.array_equal(corr.a_hom, a_hom)
-        assert np.array_equal(corr.sigma.values, compute_sigma(q).values)
+        assert np.array_equal(corr.sigma.values, _sigma_from_q(q).values)
+
+    def test_sigma_never_makes_the_whole_q(self):
+        # corr.sigma makes each q_i from phi_i when reached: one access at
+        # 3D n=32 peaks at 16.0 grid fields, 21.1 when made from a whole q
+        grid = GridSpec(3, 32)
+        corr = build_corrector_set(_random_field(16, grid=grid), OPTS)
+        corr.sigma  # warm-up
+        tracemalloc.start()
+        try:
+            corr.sigma
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18.5 * corr.phi[0].nbytes
 
 
 class TestExtended:
@@ -252,7 +279,7 @@ class TestExtended:
         a = _random_field(14, nu=0.1, grid=grid)
         phi, _ = compute_corrector(a, OPTS)
         q, _ = compute_flux_and_ahom(a, phi)
-        want = _stacked(phi, compute_sigma(q))
+        want = _stacked(phi, _sigma_from_q(q))
         rows = list(extended_rows(a, phi))
         assert len(rows) == len(want)
         assert all(np.array_equal(r, w) for r, w in zip(rows, want))
@@ -270,6 +297,20 @@ class TestExtended:
                              radii).values
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("stream", [extended_rows, extended_spectra,
+                                        compute_sigma])
+    @pytest.mark.parametrize("rows", ["first_missing", "one_extra"])
+    def test_phi_without_d_rows_rejected(self, stream, rows):
+        # a row's position is its direction: without all d rows the sigma
+        # rows would be those of other directions, so the call raises
+        # before anything is made
+        a = _random_field(15)
+        phi, _ = compute_corrector(a, OPTS)
+        bad = phi[1:] if rows == "first_missing" else np.concatenate(
+            [phi, phi[:1]])
+        with pytest.raises(ValueError, match="need all 2 correctors"):
+            stream(a, bad)
+
     @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 16)])
     def test_streamed_rows_equal_the_stacked_ones(self, grid):
         # the stream yields rfftn of each extended component, in order:
@@ -278,7 +319,7 @@ class TestExtended:
         a = _random_field(11, nu=0.1, grid=grid)
         phi, _ = compute_corrector(a, OPTS)
         q, _ = compute_flux_and_ahom(a, phi)
-        want = [rfftn(c) for c in _stacked(phi, compute_sigma(q))]
+        want = [rfftn(c) for c in _stacked(phi, _sigma_from_q(q))]
         rows = list(extended_spectra(a, phi))
         assert len(rows) == len(want)
         d = grid.d
