@@ -11,9 +11,10 @@ makes each q_i when it is reached and raises unless phi holds all d rows:
 ``compute_sigma(a, phi)`` stacks their Poisson solves, and the components
 of (phi, sigma) come one at a time from ``extended_rows(a, phi)`` in real
 space and ``extended_spectra(a, phi)`` as rfft half spectra, each sigma
-row's spectrum straight from its right-hand side.  A ``CorrectorSet`` holds
-the coefficients, phi, a_hom and the solve reports; its q and sigma are made
-on each access, and the gradients of phi where they are read.
+row's spectrum straight from its right-hand side.  ``build_corrector_set``
+is the one producer of a_hom.  A ``CorrectorSet`` holds the coefficients,
+phi, a_hom and the solve reports; its q and sigma are made on each access,
+and the gradients of phi where they are read.
 """
 
 import json
@@ -33,7 +34,6 @@ __all__ = [
     "SkewField",
     "CorrectorSet",
     "compute_corrector",
-    "compute_flux_and_ahom",
     "compute_sigma",
     "sigma_component",
     "build_corrector_set",
@@ -89,8 +89,13 @@ class CorrectorSet:
 
     @property
     def q(self):
-        """(d, d) + grid, [i, j] = (q_i)_j, made on each access."""
-        return compute_flux_and_ahom(self.a, self.phi)[0]
+        """(d, d) + grid, [i, j] = (q_i)_j, made on each access, one row
+        at a time into the returned array."""
+        d = self.a.grid.d
+        q = np.empty((d, d) + self.a.grid.shape)
+        for i in range(d):
+            q[i] = _flux(self.a, grad(self.phi[i]), i)[0]
+        return q
 
     @property
     def sigma(self):
@@ -136,19 +141,6 @@ def _curl(q_i, j, k):
     w[:-1] -= v[1:]
     w[-1:] -= v[:1]
     return np.add(out, q_i[j], out=out)
-
-
-def compute_flux_and_ahom(a: CoefficientField, phi):
-    """Fluxes q_i (mean-zero exactly) and a_hom column i =
-    mean of a (grad phi_i + e_i); ``phi`` must hold all d correctors."""
-    d = a.grid.d
-    if phi.shape[0] != d:
-        raise ValueError(f"need all {d} correctors, got {phi.shape[0]}")
-    q = np.zeros((d, d) + a.grid.shape)
-    a_hom = np.zeros((d, d))
-    for i in range(d):
-        q[i], a_hom[:, i] = _flux(a, grad(phi[i]), i)
-    return q, a_hom
 
 
 def _curls(a: CoefficientField, phi):

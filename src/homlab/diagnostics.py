@@ -1,5 +1,6 @@
 """Large-scale regularity functionals: excess, non-degeneracy, the minimal
-radius and growth profiles."""
+radius and growth profiles.  The excess-decay table is returned unfitted;
+``ensemble.fit_power_law`` fits its exponent."""
 
 from dataclasses import dataclass
 
@@ -23,6 +24,9 @@ __all__ = [
     "dyadic_radii",
     "regime_reference",
 ]
+
+
+_COND_LIMIT = 1e10  # Gram condition number beyond which excess raises
 
 
 class DegenerateGramError(RuntimeError):
@@ -66,7 +70,7 @@ def dyadic_radii(grid: GridSpec, lo=1.0):
     return np.array(radii)
 
 
-def excess(grad_u, corr: CorrectorSet, ball: Ball, cond_limit=1e10):
+def excess(grad_u, corr: CorrectorSet, ball: Ball):
     """Deviation of grad u on the ball from the best corrected-affine
     gradient xi + grad phi_xi, via the d x d normal equations; grad phi
     is taken at the ball's cells only."""
@@ -86,7 +90,7 @@ def excess(grad_u, corr: CorrectorSet, ball: Ball, cond_limit=1e10):
         for j in range(i, d):
             gram[i, j] = gram[j, i] = np.sum(basis[i] * basis[j],
                                              axis=0).mean()
-    if np.linalg.cond(gram) > cond_limit:
+    if np.linalg.cond(gram) > _COND_LIMIT:
         raise DegenerateGramError(
             f"Gram matrix singular at r = {ball.radius}")
     xi = np.linalg.solve(gram, b)
@@ -149,24 +153,15 @@ def excess_decay_experiment(corr: CorrectorSet, R, r_list, rng,
                             opts: SolveOptions = None):
     """Excess-decay table for an a-harmonic function, a = ``corr.a``, with
     random a_hom-harmonic quadratic boundary data on B_R, balls at the
-    origin."""
+    origin: one ``ExcessReport`` per radius of ``r_list``, and the report
+    of the Dirichlet-ball solve."""
     grid = corr.a.grid
     center = (0.0,) * grid.d
     boundary = harmonic_quadratic(corr.a_hom, grid, center, rng)
     u, rep = solve_dirichlet_ball(corr.a, Ball(center, float(R)), boundary,
                                   opts)
     gu = grad(u)
-    rows = []
-    for r in r_list:
-        rows.append(excess(gu, corr, Ball(center, float(r))))
-    rr = np.array([row.radius for row in rows])
-    ee = np.array([row.excess for row in rows])
-    good = ee > 0
-    if good.sum() >= 2:
-        slope = np.polyfit(np.log(rr[good]), np.log(ee[good]), 1)[0]
-    else:
-        slope = np.nan
-    return rows, float(slope), rep
+    return [excess(gu, corr, Ball(center, float(r))) for r in r_list], rep
 
 
 def regime_reference(d, beta, radii):

@@ -3,7 +3,7 @@ turning per-realization functionals into scaling-law verdicts."""
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import fftfreq, rfftfreq
@@ -30,9 +30,6 @@ __all__ = [
     "records_to_csv",
     "summarize",
 ]
-
-KINDS = ("scaling", "growth", "tail", "twoscale", "excess")
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -65,8 +62,8 @@ class ExperimentPlan:
                                  f"[0.5, L/{frac}]")
         for n in self.grids:
             GridSpec(self.d, n)
-        if self.kind == "twoscale" and not self.grids:
-            raise ValueError("twoscale needs at least one grid")
+        if self.kind == "twoscale" and len(self.grids) < 2:
+            raise ValueError("twoscale needs at least two grids for a rate")
         if not (self.delta > 0 and all(x > 0 for x in self.deltas)):
             raise ValueError("minimal-radius thresholds must be positive")
         self.opts()  # SolveOptions checks tol and max_iter
@@ -128,7 +125,7 @@ def _run_scaling(plan, index):
     vals = {}
     for r in plan.effective_radii():
         ball = Ball((0.0,) * grid.d, float(r))
-        vals[f"A_r{r:g}"] = float(ball_average(comp, ball, grid))
+        vals[f"A_r{r:g}"] = ball_average(comp, ball, grid)
     return vals
 
 
@@ -188,9 +185,8 @@ def _run_twoscale(plan, index):
 def _run_excess(plan, index):
     a = sample_coefficients(plan, index)
     corr = build_corrector_set(a, plan.opts())
-    rep = minimal_radius(corr, plan.delta)
-    r_star = rep.r_star if np.isfinite(rep.r_star) else None
-    if r_star is None:
+    r_star = minimal_radius(corr, plan.delta).r_star
+    if not np.isfinite(r_star):
         raise RuntimeError("minimal radius sentinel: no admissible scale")
     grid = plan.grid()
     big_r = grid.n / 4
@@ -199,10 +195,12 @@ def _run_excess(plan, index):
     if len(r_list) < 2:
         r_list = [r for r in dyadic_radii(grid) if r >= 2.0][-2:]
     rng = _aux_rng(plan, index)
-    rows, slope, solve = excess_decay_experiment(corr, big_r, r_list, rng,
-                                                 plan.opts())
+    rows, solve = excess_decay_experiment(corr, big_r, r_list, rng,
+                                          plan.opts())
     if not solve.converged:
         raise RuntimeError(f"Dirichlet-ball solve failed: {solve}")
+    decay = [(row.radius, row.excess) for row in rows if row.excess > 0]
+    slope = fit_power_law(decay).slope if len(decay) >= 2 else np.nan
     vals = {"rstar": r_star, "exponent": slope}
     for row in rows:
         vals[f"exc_r{row.radius:g}"] = row.excess
@@ -216,6 +214,7 @@ _RUNNERS = {
     "twoscale": _run_twoscale,
     "excess": _run_excess,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def _product_sine(grid: GridSpec):

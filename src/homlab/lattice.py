@@ -4,9 +4,10 @@ Conventions: spacing h = 1 (unit correlation length), torus side L = N.
 ``grad`` is the forward difference, ``div`` the backward difference, so that
 <grad u, v> = -<u, div v> holds exactly and the divergence-form operator is
 exactly symmetric for symmetric coefficients.  A difference of C-contiguous
-arrays is one flat subtraction, its wrap slab then overwritten; the inverse
-Laplacian multiplier is built once per grid shape, and a spectral multiply
-inverts without a full-size complex temporary.
+arrays is one flat subtraction, its wrap slab then overwritten; the Laplacian
+symbol lives on the rfft half spectrum, its inverse multiplier is built once
+per grid shape, and a spectral multiply inverts without a full-size complex
+temporary.  Ball membership, with its radius check, is ``ball_mask``'s alone.
 """
 
 import math
@@ -51,10 +52,6 @@ class GridSpec:
     @property
     def shape(self):
         return (self.n,) * self.d
-
-    @property
-    def length(self):
-        return float(self.n)
 
 
 @dataclass(frozen=True)
@@ -120,10 +117,10 @@ def div(f):
     return out
 
 
-def laplacian_symbol(shape, rfft=False):
-    """Fourier symbol of -div(grad .): sum_j 4 sin^2(pi k_j / n)."""
-    freqs = [fftfreq(n) for n in shape[:-1]]
-    freqs.append((rfftfreq if rfft else fftfreq)(shape[-1]))
+def laplacian_symbol(shape):
+    """Fourier symbol of -div(grad .), sum_j 4 sin^2(pi k_j / n), on the
+    rfft half spectrum of ``shape``."""
+    freqs = [fftfreq(n) for n in shape[:-1]] + [rfftfreq(shape[-1])]
     return sum((2.0 * np.sin(np.pi * f)) ** 2 for f in np.ix_(*freqs))
 
 
@@ -142,8 +139,8 @@ def _spectral_multiply(rhs, mult):
 
 @lru_cache(maxsize=4)
 def _inverse_laplacian(shape):
-    """Read-only 1 / ``laplacian_symbol(shape, rfft=True)``, 0 at k = 0."""
-    sym = laplacian_symbol(shape, rfft=True)
+    """Read-only 1 / ``laplacian_symbol(shape)``, 0 at k = 0."""
+    sym = laplacian_symbol(shape)
     sym[(0,) * len(shape)] = np.inf
     mult = 1.0 / sym
     mult.flags.writeable = False
@@ -188,26 +185,16 @@ def ball_mask(grid: GridSpec, ball: Ball):
     return periodic_dist_sq(grid, ball.center) <= ball.radius**2
 
 
-def ball_average(u, ball: Ball, grid: GridSpec = None):
-    """Arithmetic mean of u over the discrete ball; componentwise for
-    fields with leading axes.  Without ``grid`` the dimension is that of
-    the ball's center."""
-    if grid is None:
-        grid = GridSpec(len(ball.center), u.shape[-1])
-        if u.shape[u.ndim - grid.d:] != grid.shape:
-            raise ValueError(f"field of shape {u.shape} is not on a "
-                             f"{grid.d}D grid")
-    mask = ball_mask(grid, ball)
-    if u.ndim == grid.d:
-        return float(u[mask].mean())
-    flat = u.reshape((-1,) + grid.shape)
-    return np.array([comp[mask].mean() for comp in flat]).reshape(u.shape[:-grid.d])
+def ball_average(u, ball: Ball, grid: GridSpec):
+    """Arithmetic mean of the field u, of shape ``grid.shape``, over the
+    discrete ball."""
+    return float(u[ball_mask(grid, ball)].mean())
 
 
 def _ball_kernel_hat(grid: GridSpec, radius):
-    """rfft of the normalized ball indicator centered at the origin."""
-    mask = (periodic_dist_sq(grid, (0.0,) * grid.d) <= radius**2)
-    kern = mask.astype(np.float64)
+    """rfft of the normalized ball indicator centered at the origin; raises
+    for a radius outside [0.5, L/4], nan included."""
+    kern = ball_mask(grid, Ball((0.0,) * grid.d, radius)).astype(np.float64)
     kern /= kern.sum()
     return rfftn(kern)
 
@@ -233,7 +220,6 @@ def ball_mean_field(u, radius, grid: GridSpec):
     Periodic convolution with the (symmetric) ball indicator, so this is
     exact up to floating point.
     """
-    Ball((0.0,) * grid.d, radius).validate(grid)  # raises for nan too
     return _spectral_multiply(u, _ball_kernel_hat(grid, radius))
 
 

@@ -143,12 +143,6 @@ def sample_gaussian(spec: CovarianceSpec, grid: GridSpec, seed: SeedSpec):
     return _spectral_multiply(white, _filter(spec, grid))
 
 
-def _skew_generator(d):
-    j = np.zeros((d, d))
-    j[0, 1], j[1, 0] = -1.0, 1.0  # rotation generator (about e3 when d=3)
-    return j
-
-
 def to_coefficients(g_sym, model: CoefficientModel, g_skew, grid: GridSpec):
     """a(x) = [lam + (1-lam) Phi(g_sym)] Id + nu (2 Phi(g_skew) - 1) J,
     rescaled by the worst-case operator-norm bound so |a(x) xi| <= |xi|;
@@ -163,11 +157,8 @@ def to_coefficients(g_sym, model: CoefficientModel, g_skew, grid: GridSpec):
         a[i, i] = sym
     if nu > 0.0:
         w = nu * (2.0 * ndtr(g_skew) - 1.0)
-        jmat = _skew_generator(d)
-        for i in range(d):
-            for j in range(d):
-                if jmat[i, j] != 0.0:
-                    a[i, j] += jmat[i, j] * w
+        a[0, 1] -= w  # J: the rotation generator (about e3 when d=3)
+        a[1, 0] += w
     scale = 1.0 / np.sqrt(1.0 + nu**2)
     a *= scale
     return CoefficientField(a, lam_eff=model.lam * scale, grid=grid)

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from homlab.corrector import (build_corrector_set, compute_corrector,
-                              compute_flux_and_ahom, compute_sigma)
+                              compute_sigma)
 from homlab.diagnostics import excess_decay_experiment, minimal_radius
 from homlab.elliptic import SolveOptions
-from homlab.ensemble import (ExperimentPlan, fit_linear, fit_tail,
-                             run_ensemble, sample_coefficients, summarize)
+from homlab.ensemble import (ExperimentPlan, fit_linear, fit_power_law,
+                             fit_tail, run_ensemble, sample_coefficients,
+                             summarize)
 from homlab.lattice import GridSpec, div, grad
 from homlab.partition import (build_partition, check_refinement,
                               interaction_sum)
@@ -58,8 +59,7 @@ def _laminate_4cell(n=64):
 def test_criterion_01_laminate_oracle():
     t0 = time.perf_counter()
     a = _laminate_4cell()
-    phi, _ = compute_corrector(a, SolveOptions(tol=1e-12))
-    _, a_hom = compute_flux_and_ahom(a, phi)
+    a_hom = build_corrector_set(a, SolveOptions(tol=1e-12)).a_hom
     err = max(abs(a_hom[0, 0] / (4.0 / 9.0) - 1.0),
               abs(a_hom[1, 1] / (9.0 / 16.0) - 1.0),
               abs(a_hom[0, 1]), abs(a_hom[1, 0]))
@@ -218,10 +218,11 @@ def test_criterion_09_excess_decay():
     slopes = []
     rng = np.random.default_rng(47)
     for _ in range(4):
-        _, slope, _ = excess_decay_experiment(
+        rows, _ = excess_decay_experiment(
             corr0, R=32.0, r_list=[4.0, 8.0, 16.0], rng=rng,
             opts=SolveOptions(tol=1e-11))
-        slopes.append(slope)
+        slopes.append(fit_power_law([(row.radius, row.excess)
+                                     for row in rows]).slope)
     control = float(np.median(slopes))
     _report(9, median >= 0.8 and abs(control - 2.0) <= 0.2,
             f"median decay exponent {median:.2f} (>=0.8); constant-"

@@ -89,6 +89,18 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "L/8" in manifest["error"]
 
+    def test_one_grid_twoscale_is_config_error(self, tmp_path):
+        # checked before any realization runs, so no records are written
+        cfg = _write(tmp_path, "grid = 32\nrealizations = 2\ngrids = 16\n")
+        out = tmp_path / "out"
+        code = main(["--config", cfg, "--out", str(out),
+                     "experiment", "twoscale"])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "two grids" in manifest["error"]
+        assert not (out / "records.csv").exists()
+
     @pytest.mark.parametrize("text, command", [
         ("grid = 32\nradii = 9\nrealizations = 2\n", ["experiment", "excess"]),
         ("grid = 32\nradii = 0.25\n", ["sample"]),

@@ -10,6 +10,7 @@ from homlab.diagnostics import (DegenerateGramError, dyadic_radii, excess,
                                 harmonic_quadratic, minimal_radius,
                                 regime_reference)
 from homlab.elliptic import SolveOptions
+from homlab.ensemble import fit_power_law
 from homlab.lattice import (Ball, GridSpec, _offsets, ball_average,
                             ball_mask, ball_mean_field, grad)
 from homlab.randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
@@ -157,7 +158,7 @@ class TestExcess:
         corr.phi[1] = corr.phi[0] + x0 - x1
         gu = np.zeros((2,) + GRID.shape)
         with pytest.raises(DegenerateGramError):
-            excess(gu, corr, Ball((0.0, 0.0), 4.0), cond_limit=1e6)
+            excess(gu, corr, Ball((0.0, 0.0), 4.0))
 
 
 class TestMinimalRadius:
@@ -232,9 +233,12 @@ class TestDecayExperiment:
         a = constant_coefficients(grid)
         corr = build_corrector_set(a, OPTS)
         rng = np.random.default_rng(3)
-        rows, slope, rep = excess_decay_experiment(
+        rows, rep = excess_decay_experiment(
             corr, R=16.0, r_list=[2.0, 4.0, 8.0], rng=rng, opts=OPTS)
         assert rep.converged
+        assert [row.radius for row in rows] == [2.0, 4.0, 8.0]
+        slope = fit_power_law([(row.radius, row.excess)
+                               for row in rows]).slope
         assert 1.8 < slope < 2.2
 
 

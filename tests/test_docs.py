@@ -27,3 +27,31 @@ def test_package_imports_resolve():
         source = importlib.import_module(f"homlab.{module}")
         assert getattr(homlab, name) is getattr(source, name)
         assert name in source.__all__, f"{module}.__all__ lacks {name}"
+
+
+def _all_names(tree):
+    """The strings of a module-level ``__all__ = [...]``, if any."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_module_imports_are_used():
+    # every name a module imports at module level is read in it, or
+    # re-exported through its __all__
+    for path in sorted(Path(homlab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unused = imported - read - _all_names(tree)
+        assert not unused, f"{path.name} imports {sorted(unused)} unread"

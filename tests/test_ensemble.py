@@ -26,6 +26,12 @@ class TestPlan:
         with pytest.raises(ValueError):
             ExperimentPlan(kind="twoscale", grids=())
 
+    def test_one_grid_twoscale_rejected(self):
+        # a rate needs two grids: one grid used to run every realization
+        # and then fail in summarize
+        with pytest.raises(ValueError, match="two grids"):
+            ExperimentPlan(kind="twoscale", grids=(16,))
+
     def test_growth_radii_capped_at_eighth(self):
         # growth_profile needs R <= L/8; L/4 stays valid for other kinds
         with pytest.raises(ValueError):
@@ -195,7 +201,7 @@ class TestRunEnsemble:
         assert "\r" not in csv1
 
     @pytest.mark.parametrize("kind, grids", [("growth", ()),
-                                             ("twoscale", (16,))])
+                                             ("twoscale", (16, 32))])
     def test_csv_values_parse_as_floats(self, kind, grids):
         # these runners return numpy scalars, whose repr under numpy 2 is
         # np.float64(...), not a number

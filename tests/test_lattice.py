@@ -19,7 +19,6 @@ class TestGridSpec:
     def test_valid(self):
         g = GridSpec(2, 64)
         assert g.shape == (64, 64)
-        assert g.length == 64.0
 
     @pytest.mark.parametrize("d,n", [(1, 64), (4, 64), (2, 4), (2, 15)])
     def test_invalid(self, d, n):
@@ -56,7 +55,7 @@ class TestCalculus:
         n = 16
         u = _rng(2).standard_normal((n, n))
         lap = -div(grad(u))
-        sym = laplacian_symbol((n, n), rfft=True)
+        sym = laplacian_symbol((n, n))
         lap_hat = np.fft.rfftn(u) * sym
         assert np.allclose(lap, np.fft.irfftn(lap_hat, s=(n, n), axes=(0, 1)), atol=1e-10)
 
@@ -165,7 +164,7 @@ class TestSpectralSolve:
     @pytest.mark.parametrize("shape", [(3, 16, 16), (2, 8, 8, 8)])
     def test_stacked_equals_per_component(self, shape):
         rhs = _rng(4).standard_normal(shape)
-        sym = laplacian_symbol(shape[1:], rfft=True)
+        sym = laplacian_symbol(shape[1:])
         got = spectral_solve(rhs, sym)
         assert np.array_equal(got, np.stack([spectral_solve(r, sym)
                                              for r in rhs]))
@@ -173,7 +172,7 @@ class TestSpectralSolve:
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_symbol_projects_mean(self, d):
         rhs = _rng(5).standard_normal((16,) * d) + 0.7
-        u = spectral_solve(rhs, laplacian_symbol(rhs.shape, rfft=True))
+        u = spectral_solve(rhs, laplacian_symbol(rhs.shape))
         assert abs(u.mean()) < 1e-12
         assert np.max(np.abs(-div(grad(u)) - (rhs - rhs.mean()))) < 1e-12
 
@@ -181,8 +180,7 @@ class TestSpectralSolve:
     def test_massive_symbol(self, d):
         inv_t = 1.0 / 8.0
         rhs = _rng(6).standard_normal((16,) * d) + 0.7
-        u = spectral_solve(rhs, inv_t + laplacian_symbol(rhs.shape,
-                                                         rfft=True))
+        u = spectral_solve(rhs, inv_t + laplacian_symbol(rhs.shape))
         assert np.max(np.abs(inv_t * u - div(grad(u)) - rhs)) < 1e-12
 
 
@@ -225,25 +223,6 @@ class TestBalls:
         u = _rng(4).standard_normal(g.shape)
         b = Ball((3.0, -2.0), 4.5)
         assert np.isclose(ball_average(u, b, g), u[ball_mask(g, b)].mean())
-
-    def test_average_componentwise(self):
-        g = GridSpec(2, 16)
-        u = _rng(5).standard_normal((2,) + g.shape)
-        b = Ball((0.0, 0.0), 3.0)
-        out = ball_average(u, b, g)
-        assert out.shape == (2,)
-        assert np.isclose(out[1], ball_average(u[1], b, g))
-
-    def test_average_dimension_from_ball(self):
-        # a 2D field with one leading axis, no grid: d comes from the ball
-        u = np.zeros((2, 64, 64))
-        u[1] = 1.0
-        out = ball_average(u, Ball((0, 0), 4))
-        assert np.array_equal(out, [0.0, 1.0])
-
-    def test_average_rejects_off_grid_shape(self):
-        with pytest.raises(ValueError):
-            ball_average(np.zeros((2, 64, 32)), Ball((0, 0), 4))
 
     def test_mean_field_matches_center_average(self):
         g = GridSpec(2, 32)
