@@ -87,6 +87,11 @@ class CorrectorSet:
     a_hom: np.ndarray            # (d, d)
     reports: list
 
+    def __post_init__(self):
+        if len(self.phi) != self.a.grid.d:  # a row's position is its direction
+            raise ValueError(f"need all {self.a.grid.d} correctors, "
+                             f"got {len(self.phi)}")
+
     @property
     def q(self):
         """(d, d) + grid, [i, j] = (q_i)_j, made on each access, one row

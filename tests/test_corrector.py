@@ -7,7 +7,7 @@ from scipy.fft import rfftn
 
 import homlab.corrector
 
-from homlab.corrector import (SkewField, build_corrector_set,
+from homlab.corrector import (CorrectorSet, SkewField, build_corrector_set,
                               compute_corrector, compute_sigma,
                               extended_rows, extended_spectra,
                               save_corrector_set, sigma_component)
@@ -243,6 +243,16 @@ class TestCorrectorSet:
             if isinstance(value, np.ndarray):
                 held += value.nbytes
         assert held <= (grid.d + 1) * a.a[0, 0].nbytes
+
+    @pytest.mark.parametrize("rows", ["first_missing", "one_extra"])
+    def test_phi_without_d_rows_rejected(self, rows):
+        # corr.q would read the first d rows of a longer phi without a word
+        a = _random_field(15)
+        corr = build_corrector_set(a, OPTS)
+        bad = corr.phi[1:] if rows == "first_missing" else np.concatenate(
+            [corr.phi, corr.phi[:1]])
+        with pytest.raises(ValueError, match="need all 2 correctors"):
+            CorrectorSet(a, bad, corr.a_hom, corr.reports)
 
     @pytest.mark.parametrize("nu", [0.0, 0.1])
     def test_q_and_sigma_are_made_from_phi(self, nu):
