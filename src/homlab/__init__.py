@@ -12,7 +12,7 @@ interaction sum, and Monte-Carlo scaling experiments behind a CLI.
 __version__ = "0.1.0"
 
 from .corrector import (CorrectorSet, SkewField, build_corrector_set,
-                        compute_corrector, compute_sigma, save_corrector_set)
+                        compute_corrector, save_corrector_set)
 from .diagnostics import (DegenerateGramError, ExcessReport, GrowthProfile,
                           MinimalRadiusReport, excess, excess_decay_experiment,
                           growth_profile, minimal_radius)

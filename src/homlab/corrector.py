@@ -8,8 +8,8 @@ a (grad phi_i + e_i), and the flux corrector sigma_ijk solves
 right, so that div sigma_i = q_i holds up to the corrector residual).
 Every sigma is made from one stream of right-hand sides on phi alone, which
 makes each q_i when it is reached and raises unless phi holds all d rows:
-``compute_sigma(a, phi)`` stacks their Poisson solves, and the components
-of (phi, sigma) come one at a time from ``extended_rows(a, phi)`` in real
+``CorrectorSet.sigma`` stacks their Poisson solves, and the components of
+(phi, sigma) come one at a time from ``extended_rows(a, phi)`` in real
 space and ``extended_spectra(a, phi)`` as rfft half spectra, each sigma
 row's spectrum straight from its right-hand side.  ``build_corrector_set``
 is the one producer of a_hom.  A ``CorrectorSet`` holds the coefficients,
@@ -34,7 +34,6 @@ __all__ = [
     "SkewField",
     "CorrectorSet",
     "compute_corrector",
-    "compute_sigma",
     "sigma_component",
     "build_corrector_set",
     "extended_rows",
@@ -104,8 +103,14 @@ class CorrectorSet:
 
     @property
     def sigma(self):
-        """``compute_sigma(a, phi)``, made on each access."""
-        return compute_sigma(self.a, self.phi)
+        """The Poisson solves of the stream of sigma right-hand sides,
+        stacked; spectrally exact, zero mean, made on each access."""
+        d, shape = self.a.grid.d, self.a.grid.shape
+        vals = np.empty((d, len(_pairs(d))) + shape)
+        for row, curl in zip(vals.reshape((-1,) + shape),
+                             _curls(self.a, self.phi)):
+            row[...] = poisson_solve(curl)
+        return SkewField(vals, d)
 
 
 def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
@@ -168,20 +173,9 @@ def _curls(a: CoefficientField, phi):
     return stream()
 
 
-def compute_sigma(a: CoefficientField, phi):
-    """sigma_ijk solving -lap sigma_ijk = d_j q_ik - d_k q_ij with forward
-    differences on the right, each q_i made from phi_i when reached;
-    spectrally exact, zero mean.  ``phi`` must hold all d correctors."""
-    d, curls = a.grid.d, _curls(a, phi)
-    vals = np.empty((d, len(_pairs(d))) + a.grid.shape)
-    for row, curl in zip(vals.reshape((-1,) + a.grid.shape), curls):
-        row[...] = poisson_solve(curl)
-    return SkewField(vals, d)
-
-
 def sigma_component(a: CoefficientField, phi_i, i, j, k):
     """The one component sigma_ijk, from phi_i alone: the flux q_i and a
-    single Poisson solve, equal to ``compute_sigma``'s."""
+    single Poisson solve, equal to ``CorrectorSet.sigma``'s."""
     return poisson_solve(_curl(_flux(a, grad(phi_i), i)[0], j, k))
 
 

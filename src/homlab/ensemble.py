@@ -14,7 +14,8 @@ from .diagnostics import (_ball_variances, _smallest_radius, dyadic_radii,
                           excess_decay_experiment, growth_profile,
                           minimal_radius)
 from .elliptic import SolveOptions, solve_divform_rhs
-from .lattice import Ball, GridSpec, ball_average, grad, spectral_solve
+from .lattice import (Ball, GridSpec, _pdiff, _spectral_multiply,
+                      ball_average, grad)
 from .randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
                           beta_effective, constant_coefficients,
                           sample_gaussian, to_coefficients)
@@ -113,14 +114,10 @@ def sample_coefficients(plan: ExperimentPlan, index, n=None):
     return to_coefficients(g_sym, model, g_skew, grid)
 
 
-def _aux_rng(plan, index):
-    return SeedSpec(plan.master_seed, index, salt=2).rng()
-
-
 def _run_scaling(plan, index):
     a = sample_coefficients(plan, index)
     phi, _ = compute_corrector(a, plan.opts(), directions=[0])
-    comp = grad(phi[0])[0]  # d_1 phi_1
+    comp = _pdiff(phi[0], 0)  # d_1 phi_1
     grid = plan.grid()
     vals = {}
     for r in plan.effective_radii():
@@ -194,7 +191,7 @@ def _run_excess(plan, index):
     r_list = [r for r in dyadic_radii(grid) if r_lo <= r <= grid.n / 8]
     if len(r_list) < 2:
         r_list = [r for r in dyadic_radii(grid) if r >= 2.0][-2:]
-    rng = _aux_rng(plan, index)
+    rng = SeedSpec(plan.master_seed, index, salt=2).rng()
     rows, solve = excess_decay_experiment(corr, big_r, r_list, rng,
                                           plan.opts())
     if not solve.converged:
@@ -232,7 +229,8 @@ def _constant_coefficient_solve(a_hom, f):
     """Exact spectral solve of -div(a_hom grad u) = f - mean(f) with the
     discrete forward/backward symbols, zero-mean u.  The symbol
     conj(s_p) a_pq s_q lives on the rfft half spectrum: real a_hom makes it
-    Hermitian, sym(-k) = conj(sym(k))."""
+    Hermitian, sym(-k) = conj(sym(k)); it is exactly 0 at k = 0, where the
+    multiplier is 0."""
     d = f.ndim
     ss = []
     for j, n in enumerate(f.shape):
@@ -242,7 +240,8 @@ def _constant_coefficient_solve(a_hom, f):
         ss.append((np.exp(2j * np.pi * freq) - 1.0).reshape(sh))
     sym = sum(np.conj(ss[p]) * a_hom[p, q] * ss[q]
               for p in range(d) for q in range(d))
-    return spectral_solve(f, sym)
+    sym[(0,) * d] = np.inf
+    return _spectral_multiply(f, 1.0 / sym)
 
 
 def run_ensemble(plan: ExperimentPlan, progress=None):

@@ -6,8 +6,9 @@ Conventions: spacing h = 1 (unit correlation length), torus side L = N.
 exactly symmetric for symmetric coefficients.  A difference of C-contiguous
 arrays is one flat subtraction, its wrap slab then overwritten; the Laplacian
 symbol lives on the rfft half spectrum, its inverse multiplier is built once
-per grid shape, and a spectral multiply inverts without a full-size complex
-temporary.  Ball membership, with its radius check, is ``ball_mask``'s alone.
+per grid shape, and ``_spectral_multiply``, the one Fourier multiply of
+every spectral solve, inverts without a full-size complex temporary.  Ball
+membership, with its center and radius checks, is ``ball_mask``'s alone.
 """
 
 import math
@@ -23,7 +24,6 @@ __all__ = [
     "grad",
     "div",
     "laplacian_symbol",
-    "spectral_solve",
     "poisson_solve",
     "ball_mask",
     "ball_average",
@@ -65,6 +65,8 @@ class Ball:
     def validate(self, grid: GridSpec):
         if len(self.center) != grid.d:
             raise ValueError("ball center dimension mismatch")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"ball center {self.center} is not finite")
         if not 0.5 <= self.radius <= grid.n / 4:  # raises for nan too
             raise ValueError(f"ball radius {self.radius} outside "
                              f"[0.5, L/4 = {grid.n / 4}]")
@@ -104,11 +106,6 @@ def grad(u):
     return np.stack([_pdiff(u, j) for j in range(u.ndim)])
 
 
-def bgrad(u):
-    """Backward-difference gradient, shape (d,) + grid."""
-    return np.stack([_pdiff(u, j, False) for j in range(u.ndim)])
-
-
 def div(f):
     """Backward-difference divergence; exact negative adjoint of grad."""
     out = _pdiff(f[0], 0, False)
@@ -145,21 +142,6 @@ def _inverse_laplacian(shape):
     mult = 1.0 / sym
     mult.flags.writeable = False
     return mult
-
-
-def spectral_solve(rhs, sym):
-    """irfftn(rfftn(rhs) / sym) over the trailing axes, batched over any
-    leading axes of ``rhs``.  ``sym`` is a real or complex symbol on the
-    rfft half spectrum of the grid, whose dimension is ``sym.ndim``.  A zero
-    ``sym`` at k = 0 projects out the mean: the result then has zero mean."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the product with the reciprocal is the complex division's own
-        # arithmetic in numpy, bit for bit, and several times faster
-        mult = 1.0 / sym
-    zero = (0,) * sym.ndim
-    if sym[zero] == 0.0:
-        mult[zero] = 0.0
-    return _spectral_multiply(rhs, mult)
 
 
 def poisson_solve(rhs):

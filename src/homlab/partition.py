@@ -85,6 +85,8 @@ def _triadic_cubes(half_width, d):
 
 
 def _subdivision_count(side, corner, beta, d):
+    if not 0.0 <= beta < 1.0:  # raises for nan too
+        raise ValueError("beta must lie in [0, 1)")
     diam = math.sqrt(d) * side
     gap = np.maximum.reduce([corner, -(corner + side), np.zeros(d)])
     dist = math.sqrt(float(gap @ gap))
@@ -98,8 +100,6 @@ def build_partition(half_width, beta, d=2):
     integer with diam(Q)/n_Q <= (dist(Q)+1)^beta < diam(Q)/(n_Q - 1)."""
     if d not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {d}")
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
     corners, sides, subs = [], [], []
     for corner, side in _triadic_cubes(half_width, d):
         n = _subdivision_count(side, corner, beta, d)
@@ -146,7 +146,7 @@ def interaction_sum(part: Partition, gamma):
 
 def lattice_partition_labels(grid, beta, center=None):
     """Label array over the torus assigning every cell its partition cell,
-    via the periodic offset to ``center`` (default origin).
+    via the periodic offset to ``center`` (d finite numbers; default origin).
 
     The triadic level, shift and corner of every offset, one subdivision
     count per distinct triadic cube, then the sub-cell index.  Labels number
@@ -155,7 +155,9 @@ def lattice_partition_labels(grid, beta, center=None):
     nonzero shift).
     """
     d, n = grid.d, grid.n
-    center = center or (0.0,) * d
+    center = (0.0,) * d if center is None else tuple(center)
+    if len(center) != d or not all(map(math.isfinite, center)):
+        raise ValueError(f"center must be {d} finite numbers, got {center}")
     axes = [_offsets(n, center[j]) for j in range(d)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     m = np.max(np.abs(pts), axis=1)

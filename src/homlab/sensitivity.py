@@ -29,7 +29,7 @@ import numpy as np
 
 from .corrector import compute_corrector, sigma_component
 from .elliptic import SolveOptions, solve_divform, solve_divform_rhs
-from .lattice import _grad_at, bgrad, div, grad, poisson_solve
+from .lattice import _grad_at, _pdiff, div, grad, poisson_solve
 from .randomfield import CoefficientField
 
 __all__ = [
@@ -173,14 +173,9 @@ def malliavin_derivative(a: CoefficientField, spec: FunctionalSpec,
                      dF/da = (m + grad vh)  (x)  (grad phi_i + e_i).
     F(a) is evaluated from the same phi_i and stored as ``value``.
     """
-    return _derivative(a, spec, opts or SolveOptions(), _digest(a))
-
-
-def _derivative(a: CoefficientField, spec: FunctionalSpec, opts, digest):
-    """``malliavin_derivative`` on the coefficients' memo ``digest``."""
-    grid = a.grid
+    opts = opts or SolveOptions()
     i = spec.direction
-    phi = _corrector(a, i, opts, digest)
+    phi = _corrector(a, i, opts)
     w = grad(phi)
     w[i] += 1.0
     at = a.transpose()
@@ -190,10 +185,9 @@ def _derivative(a: CoefficientField, spec: FunctionalSpec, opts, digest):
     else:
         j, k = spec.pair
         vb = poisson_solve(div(spec.g))
-        gb = bgrad(vb)
-        m = np.zeros((grid.d,) + grid.shape)
-        m[k] = gb[j]
-        m[j] = -gb[k]
+        m = np.zeros((a.grid.d,) + a.grid.shape)
+        m[k] = _pdiff(vb, j, False)
+        m[j] = -_pdiff(vb, k, False)
         atm = np.einsum("pq...,q...->p...", at.a, m)
         vh, rep = solve_divform_rhs(at, div(atm), opts)
         left = m + grad(vh)
@@ -252,9 +246,8 @@ def fd_check(a: CoefficientField, spec: FunctionalSpec, cell, delta_a,
     if not np.isfinite(t) or t == 0.0:
         raise ValueError(f"step t must be finite and nonzero, got {t}")
     opts = opts or SolveOptions(tol=1e-12)
-    digest = _digest(a)
     if deriv is None:
-        deriv = _derivative(a, spec, opts, digest)
+        deriv = malliavin_derivative(a, spec, opts)
     elif deriv.opts != opts:
         raise ValueError(f"derivative solved with {deriv.opts}, "
                          f"fd_check asked for {opts}")
@@ -264,7 +257,8 @@ def fd_check(a: CoefficientField, spec: FunctionalSpec, cell, delta_a,
     a2 = a.a.copy()
     a2[(Ellipsis,) + cell] += c
     pert = CoefficientField(a2, a.lam_eff, a.grid)
-    phi_pert = _perturbed_corrector(a, spec.direction, cell, c, opts, digest)
+    phi_pert = _perturbed_corrector(a, spec.direction, cell, c, opts,
+                                    _digest(a))
     fd = (_value(pert, spec, phi_pert) - deriv.value) / t
     denom = max(float(np.linalg.norm(local) * np.linalg.norm(delta_a)), 1e-300)
     return abs(fd - adj) / denom, fd, adj

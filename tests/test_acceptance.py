@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from homlab.corrector import (build_corrector_set, compute_corrector,
-                              compute_sigma)
+from homlab.corrector import build_corrector_set, compute_corrector
 from homlab.diagnostics import excess_decay_experiment, minimal_radius
 from homlab.elliptic import SolveOptions
 from homlab.ensemble import (ExperimentPlan, fit_linear, fit_power_law,
@@ -82,7 +81,7 @@ def test_criterion_02_structural_identities():
         a = sample_coefficients(plan, idx)
         corr = build_corrector_set(a, opts)
         q = corr.q
-        s = compute_sigma(a, corr.phi)
+        s = corr.sigma
         worst_skew = max(worst_skew, float(np.max(np.abs(
             s.component(0, 0, 1) + s.component(0, 1, 0)))))
         ds = s.divergence()

@@ -8,9 +8,9 @@ from scipy.fft import rfftn
 import homlab.corrector
 
 from homlab.corrector import (CorrectorSet, SkewField, build_corrector_set,
-                              compute_corrector, compute_sigma,
-                              extended_rows, extended_spectra,
-                              save_corrector_set, sigma_component)
+                              compute_corrector, extended_rows,
+                              extended_spectra, save_corrector_set,
+                              sigma_component)
 from homlab.elliptic import SolveOptions
 from homlab.diagnostics import growth_profile
 from homlab.lattice import (GridSpec, div, grad, load_field,
@@ -55,7 +55,7 @@ def _set_flux_and_ahom(a, opts=OPTS):
 
 def _sigma_from_q(q):
     """The flux correctors by their own curl loop over a whole q: the
-    formula ``compute_sigma`` had when it took q."""
+    formula ``CorrectorSet.sigma`` had when it took q."""
     d = q.shape[0]
     pairs = homlab.corrector._pairs(d)
     vals = np.zeros((d, len(pairs)) + q.shape[2:])
@@ -225,7 +225,8 @@ class TestSigma:
 
     def test_constant_zero(self):
         a = constant_coefficients(GRID)
-        s = compute_sigma(a, np.zeros((2,) + GRID.shape))
+        zeros = np.zeros((2,) + GRID.shape)
+        s = CorrectorSet(a, zeros, np.eye(2), []).sigma
         assert np.all(s.values == 0.0)
 
 
@@ -316,8 +317,7 @@ class TestExtended:
                              radii).values
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("stream", [extended_rows, extended_spectra,
-                                        compute_sigma])
+    @pytest.mark.parametrize("stream", [extended_rows, extended_spectra])
     @pytest.mark.parametrize("rows", ["first_missing", "one_extra"])
     def test_phi_without_d_rows_rejected(self, stream, rows):
         # a row's position is its direction: without all d rows the sigma
@@ -334,7 +334,7 @@ class TestExtended:
     def test_streamed_rows_equal_the_stacked_ones(self, grid):
         # the stream yields rfftn of each extended component, in order:
         # phi's rows bit for bit, and each sigma row from its own q_i by
-        # compute_sigma's curl and multiplier, up to rounding
+        # CorrectorSet.sigma's curl and multiplier, up to rounding
         a = _random_field(11, nu=0.1, grid=grid)
         phi, _ = compute_corrector(a, OPTS)
         q, _ = _flux_and_ahom(a, phi)

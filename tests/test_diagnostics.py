@@ -190,6 +190,13 @@ class TestMinimalRadius:
         with pytest.raises(ValueError, match="positive"):
             minimal_radius(corr, np.nan)
 
+    @pytest.mark.parametrize("center", [(np.nan, 0.0), (np.inf, 0.0)])
+    def test_non_finite_center_rejected(self, center):
+        # unchecked, it gives the inf sentinel: "no admissible scale"
+        a, corr = _corr(4)
+        with pytest.raises(ValueError, match="not finite"):
+            minimal_radius(corr, 1.0 / 16.0, center)
+
     def test_rows_are_streamed_not_stacked(self):
         # the rows of (phi, sigma) are made and read one at a time; a
         # stored q and sigma with their stacked components put the traced

@@ -18,6 +18,21 @@ def test_readme_experiment_kinds_are_kinds():
         assert tuple(kinds.split(",")) == KINDS
 
 
+def test_readme_module_names_resolve():
+    # every backticked `module.name` or `homlab.module.name` of a homlab
+    # module names something the module has, so a removed name fails here
+    modules = [p.stem for p in Path(homlab.__file__).parent.glob("*.py")
+               if p.stem != "__init__"]
+    named = re.compile(rf"(?<![\w.])(?:homlab\.)?({'|'.join(modules)})\.(\w+)")
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    found = [m.groups() for span in re.findall(r"`([^`]+)`", text)
+             for m in named.finditer(span)]
+    assert found, "README names no module.name"
+    for module, name in found:
+        assert hasattr(importlib.import_module(f"homlab.{module}"), name), \
+            f"README names {module}.{name}, which homlab.{module} lacks"
+
+
 def test_package_imports_resolve():
     tree = ast.parse(Path(homlab.__file__).read_text())
     imports = [(node.module, alias.name) for node in tree.body

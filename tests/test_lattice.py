@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import irfftn, rfftn
 
-from homlab.lattice import (Ball, GridSpec, _grad_at, _pdiff,
-                            _spectral_multiply, ball_average, ball_mask,
-                            ball_mean_field, bgrad, div, grad,
+from homlab.lattice import (Ball, GridSpec, _grad_at, _inverse_laplacian,
+                            _pdiff, _spectral_multiply, ball_average,
+                            ball_mask, ball_mean_field, div, grad,
                             laplacian_symbol, load_field, periodic_dist_sq,
-                            poisson_solve, save_field, spectral_solve)
+                            poisson_solve, save_field)
 
 
 def _rng(seed=0):
@@ -43,13 +43,6 @@ class TestCalculus:
 
     def test_grad_of_constant_zero(self):
         assert np.all(grad(np.full((8, 8), 3.7)) == 0.0)
-
-    def test_bgrad_is_shifted_grad(self):
-        u = _rng(1).standard_normal((8, 8))
-        g = grad(u)
-        b = bgrad(u)
-        for j in range(2):
-            assert np.allclose(b[j], np.roll(g[j], 1, axis=j))
 
     def test_div_grad_is_laplacian_symbol(self):
         n = 16
@@ -107,8 +100,6 @@ class TestDifferencesMatchRoll:
         for name, u in _layouts(shape):
             assert np.array_equal(grad(u), np.stack(
                 [_roll_diff(u, j, True) for j in range(d)])), name
-            assert np.array_equal(bgrad(u), np.stack(
-                [_roll_diff(u, j, False) for j in range(d)])), name
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_grad_at_cells_is_grad_on_the_mask(self, d):
@@ -161,18 +152,21 @@ class TestPoisson:
 
 
 class TestSpectralSolve:
+    """A solve is ``_spectral_multiply`` by a reciprocal symbol, as in
+    ``poisson_solve`` and ``ensemble._constant_coefficient_solve``."""
+
     @pytest.mark.parametrize("shape", [(3, 16, 16), (2, 8, 8, 8)])
     def test_stacked_equals_per_component(self, shape):
         rhs = _rng(4).standard_normal(shape)
-        sym = laplacian_symbol(shape[1:])
-        got = spectral_solve(rhs, sym)
-        assert np.array_equal(got, np.stack([spectral_solve(r, sym)
+        mult = _inverse_laplacian(shape[1:])
+        got = _spectral_multiply(rhs, mult)
+        assert np.array_equal(got, np.stack([_spectral_multiply(r, mult)
                                              for r in rhs]))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_symbol_projects_mean(self, d):
         rhs = _rng(5).standard_normal((16,) * d) + 0.7
-        u = spectral_solve(rhs, laplacian_symbol(rhs.shape))
+        u = _spectral_multiply(rhs, _inverse_laplacian(rhs.shape))
         assert abs(u.mean()) < 1e-12
         assert np.max(np.abs(-div(grad(u)) - (rhs - rhs.mean()))) < 1e-12
 
@@ -180,7 +174,8 @@ class TestSpectralSolve:
     def test_massive_symbol(self, d):
         inv_t = 1.0 / 8.0
         rhs = _rng(6).standard_normal((16,) * d) + 0.7
-        u = spectral_solve(rhs, inv_t + laplacian_symbol(rhs.shape))
+        u = _spectral_multiply(
+            rhs, 1.0 / (inv_t + laplacian_symbol(rhs.shape)))
         assert np.max(np.abs(inv_t * u - div(grad(u)) - rhs)) < 1e-12
 
 
@@ -217,6 +212,13 @@ class TestBalls:
     def test_nan_or_empty_radius_rejected(self, radius):
         with pytest.raises(ValueError, match="outside"):
             Ball((0.0, 0.0), radius).validate(GridSpec(2, 32))
+
+    @pytest.mark.parametrize("center", [(np.nan, 0.0), (np.inf, 0.0),
+                                        (0.0, -np.inf)])
+    def test_non_finite_center_rejected(self, center):
+        # unchecked, a nan center selects no cell at all
+        with pytest.raises(ValueError, match="not finite"):
+            ball_mask(GridSpec(2, 32), Ball(center, 2.0))
 
     def test_average_matches_mask(self):
         g = GridSpec(2, 32)

@@ -210,3 +210,17 @@ class TestLocate:
             assert np.array_equal(
                 lattice_partition_labels(grid, 0.6, center),
                 _labels_reference(grid, 0.6, center))
+
+    @pytest.mark.parametrize("beta", [1.5, 1.0, -0.5, np.inf, np.nan])
+    def test_labels_reject_beta_as_build_partition_does(self, beta):
+        # unchecked, the first four gave labels and nan an integer error
+        for make in (lambda: build_partition(4.5, beta, 2),
+                     lambda: lattice_partition_labels(GridSpec(2, 32), beta)):
+            with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
+                make()
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 5.0), (np.nan, 0.0),
+                                        (0.0,)])
+    def test_labels_reject_a_center_not_d_finite_numbers(self, center):
+        with pytest.raises(ValueError, match="center must be 2 finite"):
+            lattice_partition_labels(GridSpec(2, 32), 0.5, center)
