@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 from scipy.fft import rfftn
 
-from .elliptic import SolveOptions, solve_divform
+from .elliptic import SolveOptions, operator, solve_divform
 from .lattice import (_inverse_laplacian, _pdiff, grad, poisson_solve,
                       save_field)
 from .randomfield import CoefficientField
@@ -116,13 +116,15 @@ class CorrectorSet:
 def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
                       directions=None):
     """phi_i for the requested directions (all by default), stacked in
-    the order requested: shape (len(directions),) + grid."""
+    the order requested: shape (len(directions),) + grid; the solves share
+    one ``operator(a)``."""
     directions = range(a.grid.d) if directions is None else directions
     phi = np.empty((len(directions),) + a.grid.shape)
     reports = []
+    op = operator(a)
     for row, i in enumerate(directions):
         g = a.a[:, i]  # a e_i as a vector field
-        u, rep = solve_divform(a, g, opts)
+        u, rep = solve_divform(op, g, opts)
         if not rep.converged:
             raise RuntimeError(
                 f"corrector solve for direction {i} did not converge "

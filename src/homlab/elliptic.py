@@ -25,11 +25,12 @@ from scipy.sparse.linalg import LinearOperator, bicgstab, cg
 from . import kernels
 from .lattice import (Ball, GridSpec, _inverse_laplacian, _spectral_multiply,
                       ball_mask, div, laplacian_symbol)
-from .randomfield import CoefficientField
+from .randomfield import CoefficientField, _is_symmetric
 
 __all__ = [
     "SolveOptions",
     "SolveReport",
+    "operator",
     "solve_divform",
     "solve_divform_rhs",
     "solve_dirichlet_ball",
@@ -74,15 +75,13 @@ class _NonFinite(Exception):
     """Raised from the Krylov callback with a non-finite iterate."""
 
 
-def _krylov(field: CoefficientField, matvec, rhs, precond, opts: SolveOptions,
-            finish):
-    """Solve ``matvec(x) = rhs`` on grid-shaped arrays by scipy's CG for
-    symmetric coefficients, BiCGStab otherwise, preconditioned by
-    ``precond``.  ``finish(x)`` turns an iterate into the solution and
-    returns it with its residual norm; returns (solution, SolveReport), the
-    residual relative to |rhs|.  A zero ``rhs`` is finished at x = 0 after
-    0 steps.  A breakdown or a non-finite iterate is not an error: the
-    recomputed residual decides."""
+def _krylov(solver, matvec, rhs, precond, opts: SolveOptions, finish):
+    """Solve ``matvec(x) = rhs`` on grid-shaped arrays by ``solver``,
+    scipy's CG or BiCGStab, preconditioned by ``precond``.  ``finish(x)``
+    turns an iterate into the solution and returns it with its residual
+    norm; returns (solution, SolveReport), the residual relative to |rhs|.
+    A zero ``rhs`` is finished at x = 0 after 0 steps.  A breakdown or a
+    non-finite iterate is not an error: the recomputed residual decides."""
     bnorm = float(np.linalg.norm(rhs))
     if not math.isfinite(bnorm):  # a Krylov solve would not stop on it
         raise RuntimeError(f"right-hand side is not finite: {bnorm}")
@@ -90,7 +89,7 @@ def _krylov(field: CoefficientField, matvec, rhs, precond, opts: SolveOptions,
         return finish(np.zeros_like(rhs))[0], SolveReport(0, 0.0, True)
     shape, size = rhs.shape, rhs.size
 
-    def operator(f):
+    def linear(f):
         return LinearOperator((size, size), dtype=np.float64,
                               matvec=lambda v: f(v.reshape(shape)).ravel())
 
@@ -101,10 +100,9 @@ def _krylov(field: CoefficientField, matvec, rhs, precond, opts: SolveOptions,
         if not math.isfinite(xk[0]):  # non-finite spreads to every entry
             raise _NonFinite(xk)
 
-    solver = cg if field.is_symmetric() else bicgstab
     try:
-        vec, _ = solver(operator(matvec), rhs.ravel(), rtol=0.1 * opts.tol,
-                        atol=0.0, maxiter=opts.max_iter, M=operator(precond),
+        vec, _ = solver(linear(matvec), rhs.ravel(), rtol=0.1 * opts.tol,
+                        atol=0.0, maxiter=opts.max_iter, M=linear(precond),
                         callback=callback)
     except _NonFinite as stop:
         vec = stop.args[0]
@@ -113,27 +111,51 @@ def _krylov(field: CoefficientField, matvec, rhs, precond, opts: SolveOptions,
     return u, SolveReport(len(steps), res, res <= opts.tol)
 
 
-def solve_divform_rhs(field: CoefficientField, rhs,
-                      opts: SolveOptions = None, overwrite_rhs=False):
+@dataclass(frozen=True)
+class Operator:
+    """What every torus solve on one coefficient field shares: the field,
+    its ``kernels.coupled_columns``, scipy's CG for symmetric coefficients
+    or BiCGStab, and the sandwich preconditioner with its 1/a_ii."""
+
+    field: CoefficientField
+    cols: tuple
+    solver: object
+    precond: object
+
+
+def operator(field):
+    """The ``Operator`` of a coefficient field; an operator is returned
+    as it is."""
+    if isinstance(field, Operator):
+        return field
+    return Operator(field, kernels.coupled_columns(field.a),
+                    cg if field.is_symmetric() else bicgstab,
+                    _spectral_inverse(field))
+
+
+def solve_divform_rhs(field, rhs, opts: SolveOptions = None,
+                      overwrite_rhs=False):
     """The zero-mean u with -div(a grad u) = rhs - mean(rhs) on the
-    torus; ``overwrite_rhs`` subtracts the mean from ``rhs`` in place."""
+    torus, ``field`` a coefficient field or its ``operator``;
+    ``overwrite_rhs`` subtracts the mean from ``rhs`` in place."""
     rhs = np.asarray(rhs, dtype=np.float64)
     rhs = np.subtract(rhs, rhs.mean(), out=rhs if overwrite_rhs else None)
-    cols = kernels.coupled_columns(field.a)
+    op = operator(field)
 
     def matvec(u):
-        return kernels.divform_apply(field.a, u, cols)
+        return kernels.divform_apply(op.field.a, u, op.cols)
 
     def finish(u):
         u -= u.mean()
         return u, float(np.linalg.norm(matvec(u) - rhs))
 
-    return _krylov(field, matvec, rhs, _spectral_inverse(field),
+    return _krylov(op.solver, matvec, rhs, op.precond,
                    opts or SolveOptions(), finish)
 
 
-def solve_divform(field: CoefficientField, g, opts: SolveOptions = None):
-    """The zero-mean u with -div(a grad u) = div g on the torus."""
+def solve_divform(field, g, opts: SolveOptions = None):
+    """The zero-mean u with -div(a grad u) = div g on the torus, ``field``
+    a coefficient field or its ``operator``."""
     return solve_divform_rhs(field, div(np.asarray(g)), opts, True)
 
 
@@ -170,7 +192,8 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
                          opts: SolveOptions = None):
     """a-harmonic extension into the discrete ball: u = boundary outside,
     div(a grad u) = 0 at every interior cell to tolerance; the Krylov
-    solve runs on ``_ball_box``."""
+    solve runs on ``_ball_box``, by CG when the box's coefficients are
+    symmetric."""
     mask = ball_mask(field.grid, ball)
     boundary = np.asarray(boundary, dtype=np.float64)
     box = _ball_box(field.grid, ball)
@@ -194,5 +217,6 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
         return u, float(np.linalg.norm(res))
 
     c0 = float(np.mean([field.a[i, i].mean() for i in range(field.grid.d)]))
-    return _krylov(field, matvec, rhs, _dirichlet_inverse(c0, inside),
-                   opts or SolveOptions(), finish)
+    return _krylov(cg if _is_symmetric(a) else bicgstab, matvec, rhs,
+                   _dirichlet_inverse(c0, inside), opts or SolveOptions(),
+                   finish)

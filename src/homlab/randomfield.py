@@ -104,9 +104,13 @@ class CoefficientField:
                                 self.lam_eff, self.grid)
 
     def is_symmetric(self):
-        """max |a_ij - a_ji| <= 1e-13 over cells and the pairs i > j."""
-        return all(float(np.max(np.abs(self.a[i, j] - self.a[j, i]))) <= 1e-13
-                   for i in range(self.grid.d) for j in range(i))
+        return _is_symmetric(self.a)
+
+
+def _is_symmetric(a):
+    """max |a_ij - a_ji| <= 1e-13 over cells and the pairs i > j."""
+    return all(float(np.max(np.abs(a[i, j] - a[j, i]))) <= 1e-13
+               for i in range(len(a)) for j in range(i))
 
 
 def _spectral_density(spec: CovarianceSpec, grid: GridSpec):

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrector import compute_corrector, sigma_component
-from .elliptic import SolveOptions, solve_divform, solve_divform_rhs
+from .elliptic import (SolveOptions, operator, solve_divform,
+                       solve_divform_rhs)
 from .lattice import _grad_at, _pdiff, div, grad, poisson_solve
 from .randomfield import CoefficientField
 
@@ -117,15 +118,16 @@ def _corrector(a: CoefficientField, i, opts, digest=None):
 
 def _cell_responses(a: CoefficientField, cell, opts, digest):
     """W_k = A^-1 U_k for k < d, U_k = -div(e_k delta_cell), stacked:
-    shape (d,) + grid, memoized like ``_corrector``."""
+    shape (d,) + grid, memoized like ``_corrector``; the d solves share
+    one ``operator(a)``."""
 
     def solve():
-        d = a.grid.d
+        d, op = a.grid.d, operator(a)
         w = np.empty((d,) + a.grid.shape)
         for k in range(d):
             g = np.zeros((d,) + a.grid.shape)
             g[(k,) + cell] = -1.0
-            w[k], rep = solve_divform(a, g, opts)
+            w[k], rep = solve_divform(op, g, opts)
             if not rep.converged:
                 raise RuntimeError(f"cell response solve failed: {rep}")
         return w
