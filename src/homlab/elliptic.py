@@ -100,14 +100,19 @@ def _krylov(solver, matvec, rhs, precond, opts: SolveOptions, finish):
         if not math.isfinite(xk[0]):  # non-finite spreads to every entry
             raise _NonFinite(xk)
 
-    try:
-        vec, _ = solver(linear(matvec), rhs.ravel(), rtol=0.1 * opts.tol,
-                        atol=0.0, maxiter=opts.max_iter, M=linear(precond),
-                        callback=callback)
-    except _NonFinite as stop:
-        vec = stop.args[0]
-    u, res = finish(vec.reshape(shape))
-    res /= bnorm
+    vec = None
+    for rtol in (opts.tol, 0.1 * opts.tol):
+        try:
+            vec, _ = solver(linear(matvec), rhs.ravel(), x0=vec, rtol=rtol,
+                            atol=0.0, maxiter=opts.max_iter - len(steps),
+                            M=linear(precond), callback=callback)
+        except _NonFinite as stop:
+            vec = stop.args[0]
+        u, res = finish(vec.reshape(shape))
+        res /= bnorm
+        if not (res > opts.tol and len(steps) < opts.max_iter
+                and math.isfinite(vec[0])):
+            break
     return u, SolveReport(len(steps), res, res <= opts.tol)
 
 
