@@ -25,6 +25,7 @@ from itertools import chain
 import numpy as np
 from scipy.fft import rfftn
 
+from . import kernels
 from .elliptic import SolveOptions, operator, solve_divform
 from .lattice import (_inverse_laplacian, _pdiff, grad, poisson_solve,
                       save_field)
@@ -116,8 +117,7 @@ class CorrectorSet:
 def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
                       directions=None):
     """phi_i for the requested directions (all by default), stacked in
-    the order requested: shape (len(directions),) + grid; the solves share
-    one ``operator(a)``."""
+    the order requested: shape (len(directions),) + grid."""
     directions = range(a.grid.d) if directions is None else directions
     phi = np.empty((len(directions),) + a.grid.shape)
     reports = []
@@ -139,7 +139,9 @@ def _flux(a: CoefficientField, dphi_i, i):
     ``dphi_i`` = grad phi_i, which is overwritten."""
     d = a.grid.d
     dphi_i[i] += 1.0
-    flux = np.einsum("pq...,q...->p...", a.a, dphi_i)
+    flux = np.empty_like(dphi_i)
+    for p, row in enumerate(kernels.coupled_columns(a.a)):
+        flux[p] = sum(a.a[p, q] * dphi_i[q] for q in row)
     mean = flux.reshape(d, -1).mean(axis=1)
     flux -= mean.reshape((d,) + (1,) * d)
     return flux, mean

@@ -2,17 +2,20 @@
 torus and Dirichlet problems on discrete balls.
 
 Both go through one Krylov dispatch: scipy's CG for symmetric coefficients,
-its BiCGStab for non-symmetric ones.  A torus solve returns the zero-mean
-solution; its preconditioner is the sandwich K^-1 (-div(b grad .)) K^-1,
-K = -lap by FFT and b = diag(1/a_ii): symmetric positive definite on
-mean-zero fields, and the exact inverse for a = c Id and for a laminate's
-corrector in the layered direction.  A Dirichlet-ball problem, solved on
-its cropped box, is preconditioned by the inverse of ``c0 (-lap)`` by
-DST-I, c0 the mean diagonal.  The dispatch owns the one epilogue: a
-non-finite rhs raises, a zero rhs is finished at x = 0 after 0 steps (ball
-data the interior stencil never reads give 0 inside), and the residual,
-recomputed from scratch by each problem's ``finish``, is relative to
-|rhs|.  Iterations are the Krylov steps completed.
+its BiCGStab for non-symmetric ones.  A torus solve, on a field or on the
+``operator`` built once per field, returns the zero-mean solution; its
+preconditioner is the sandwich K^-1 (-div(b grad .)) K^-1, K = -lap by FFT
+and b = diag(1/a_ii): symmetric positive definite on mean-zero fields, and
+the exact inverse for a = c Id and for a laminate's corrector in the
+layered direction.  A Dirichlet-ball problem is solved on its cropped box,
+by CG if the box's coefficients are symmetric, preconditioned by the
+inverse of ``c0 (-lap)`` by DST-I, c0 the mean diagonal.  The dispatch owns
+the one epilogue: a non-finite rhs raises, a zero rhs is finished at x = 0
+after 0 steps (ball data the interior stencil never reads give 0 inside),
+and the residual, recomputed from scratch by each problem's ``finish``, is
+relative to |rhs|.  scipy stops at tol; a recomputed residual above it,
+with a finite iterate and steps left, continues once from that iterate to
+0.1 tol.  Iterations are the Krylov steps of both calls.
 """
 
 import math
@@ -56,21 +59,6 @@ class SolveReport:
     converged: bool
 
 
-def _spectral_inverse(field: CoefficientField):
-    """The torus preconditioner of the module docstring; the zero mode is
-    projected out."""
-    a, d = field.a, field.grid.d
-    inv = _inverse_laplacian(field.grid.shape)
-    # b[i, j] broadcasts 1/a_ii, the only blocks read; equal diagonal blocks,
-    # as in every sampled field, share one
-    same = all(np.array_equal(a[i, i], a[0, 0]) for i in range(1, d))
-    diag = 1.0 / (a[0, 0][None] if same else np.einsum("ii...->i...", a))
-    b = np.broadcast_to(diag[:, None], (d, d) + diag.shape[1:])
-    cols = tuple((i,) for i in range(d))
-    return lambda r: _spectral_multiply(
-        kernels.divform_apply(b, _spectral_multiply(r, inv), cols), inv)
-
-
 class _NonFinite(Exception):
     """Raised from the Krylov callback with a non-finite iterate."""
 
@@ -82,6 +70,7 @@ def _krylov(solver, matvec, rhs, precond, opts: SolveOptions, finish):
     norm; returns (solution, SolveReport), the residual relative to |rhs|.
     A zero ``rhs`` is finished at x = 0 after 0 steps.  A breakdown or a
     non-finite iterate is not an error: the recomputed residual decides."""
+    opts = opts or SolveOptions()
     bnorm = float(np.linalg.norm(rhs))
     if not math.isfinite(bnorm):  # a Krylov solve would not stop on it
         raise RuntimeError(f"right-hand side is not finite: {bnorm}")
@@ -118,34 +107,37 @@ def _krylov(solver, matvec, rhs, precond, opts: SolveOptions, finish):
 
 @dataclass(frozen=True)
 class Operator:
-    """What every torus solve on one coefficient field shares: the field,
-    its ``kernels.coupled_columns``, scipy's CG for symmetric coefficients
-    or BiCGStab, and the sandwich preconditioner with its 1/a_ii."""
+    """What every torus solve on ``field`` shares, made by ``operator``."""
 
     field: CoefficientField
-    cols: tuple
-    solver: object
-    precond: object
+    cols: tuple                  # kernels.coupled_columns
+    solver: object               # scipy's cg or bicgstab
+    precond: object              # the torus preconditioner
 
 
-def operator(field):
-    """The ``Operator`` of a coefficient field; an operator is returned
-    as it is."""
-    if isinstance(field, Operator):
-        return field
-    return Operator(field, kernels.coupled_columns(field.a),
+def operator(field: CoefficientField):
+    """The ``Operator`` of a field; its preconditioner drops the zero mode."""
+    a, d = field.a, field.grid.d
+    inv = _inverse_laplacian(field.grid.shape)
+    # b[i, j] broadcasts 1/a_ii, the only blocks read; equal diagonal blocks,
+    # as in every sampled field, share one
+    same = all(np.array_equal(a[i, i], a[0, 0]) for i in range(1, d))
+    diag = 1.0 / (a[0, 0][None] if same else np.einsum("ii...->i...", a))
+    b = np.broadcast_to(diag[:, None], (d, d) + diag.shape[1:])
+    rows = tuple((i,) for i in range(d))
+    return Operator(field, kernels.coupled_columns(a),
                     cg if field.is_symmetric() else bicgstab,
-                    _spectral_inverse(field))
+                    lambda r: _spectral_multiply(kernels.divform_apply(
+                        b, _spectral_multiply(r, inv), rows), inv))
 
 
 def solve_divform_rhs(field, rhs, opts: SolveOptions = None,
                       overwrite_rhs=False):
     """The zero-mean u with -div(a grad u) = rhs - mean(rhs) on the
-    torus, ``field`` a coefficient field or its ``operator``;
-    ``overwrite_rhs`` subtracts the mean from ``rhs`` in place."""
+    torus; ``overwrite_rhs`` subtracts the mean from ``rhs`` in place."""
     rhs = np.asarray(rhs, dtype=np.float64)
     rhs = np.subtract(rhs, rhs.mean(), out=rhs if overwrite_rhs else None)
-    op = operator(field)
+    op = field if isinstance(field, Operator) else operator(field)
 
     def matvec(u):
         return kernels.divform_apply(op.field.a, u, op.cols)
@@ -154,13 +146,11 @@ def solve_divform_rhs(field, rhs, opts: SolveOptions = None,
         u -= u.mean()
         return u, float(np.linalg.norm(matvec(u) - rhs))
 
-    return _krylov(op.solver, matvec, rhs, op.precond,
-                   opts or SolveOptions(), finish)
+    return _krylov(op.solver, matvec, rhs, op.precond, opts, finish)
 
 
 def solve_divform(field, g, opts: SolveOptions = None):
-    """The zero-mean u with -div(a grad u) = div g on the torus, ``field``
-    a coefficient field or its ``operator``."""
+    """The zero-mean u with -div(a grad u) = div g on the torus."""
     return solve_divform_rhs(field, div(np.asarray(g)), opts, True)
 
 
@@ -197,8 +187,7 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
                          opts: SolveOptions = None):
     """a-harmonic extension into the discrete ball: u = boundary outside,
     div(a grad u) = 0 at every interior cell to tolerance; the Krylov
-    solve runs on ``_ball_box``, by CG when the box's coefficients are
-    symmetric."""
+    solve runs on ``_ball_box``."""
     mask = ball_mask(field.grid, ball)
     boundary = np.asarray(boundary, dtype=np.float64)
     box = _ball_box(field.grid, ball)
@@ -223,5 +212,4 @@ def solve_dirichlet_ball(field: CoefficientField, ball: Ball, boundary,
 
     c0 = float(np.mean([field.a[i, i].mean() for i in range(field.grid.d)]))
     return _krylov(cg if _is_symmetric(a) else bicgstab, matvec, rhs,
-                   _dirichlet_inverse(c0, inside), opts or SolveOptions(),
-                   finish)
+                   _dirichlet_inverse(c0, inside), opts, finish)

@@ -3,7 +3,7 @@
 ``divform_apply`` is the periodic stencil of ``-div(a grad .)`` in numpy,
 by slice differences, over the blocks ``coupled_columns`` finds nonzero (d
 of d*d for ``sym(x) Id``); ``elliptic`` computes that pattern once per
-solve; it takes each forward difference once, however many rows read it.
+operator; it takes each forward difference once, however many rows read it.
 ``pair_interaction_sup`` prunes: a tile hierarchy bounds every cell's
 interaction sum from above, and only the few cells whose bound beats the
 best full sum so far are summed in full.  The brute-force

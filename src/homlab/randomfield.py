@@ -155,16 +155,15 @@ def to_coefficients(g_sym, model: CoefficientModel, g_skew, grid: GridSpec):
     nu = model.skew_amplitude
     if nu > 0.0 and g_skew is None:
         raise ValueError("skew amplitude > 0 requires a skew Gaussian field")
-    sym = model.lam + (1.0 - model.lam) * ndtr(g_sym)
+    scale = 1.0 / np.sqrt(1.0 + nu**2)  # applied before the blocks are set
+    sym = (model.lam + (1.0 - model.lam) * ndtr(g_sym)) * scale
     a = np.zeros((d, d) + grid.shape)
     for i in range(d):
         a[i, i] = sym
     if nu > 0.0:
-        w = nu * (2.0 * ndtr(g_skew) - 1.0)
+        w = nu * (2.0 * ndtr(g_skew) - 1.0) * scale
         a[0, 1] -= w  # J: the rotation generator (about e3 when d=3)
         a[1, 0] += w
-    scale = 1.0 / np.sqrt(1.0 + nu**2)
-    a *= scale
     return CoefficientField(a, lam_eff=model.lam * scale, grid=grid)
 
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrector import compute_corrector, sigma_component
-from .elliptic import (SolveOptions, operator, solve_divform,
-                       solve_divform_rhs)
+from .elliptic import SolveOptions, operator, solve_divform, solve_divform_rhs
 from .lattice import _grad_at, _pdiff, div, grad, poisson_solve
 from .randomfield import CoefficientField
 
@@ -67,11 +66,12 @@ class FunctionalSpec:
 @dataclass
 class DerivativeField:
     """d x d matrix field dF/da (continuum normalization, h = 1), the
-    value F(a) and the solver options both were computed with."""
+    value F(a), the solver options of both and the coefficients' digest."""
 
     deriv: np.ndarray            # (d, d) + grid
     value: float
     opts: SolveOptions
+    digest: tuple
 
 
 # A direction's checks on one cell reuse two entries, phi_i (1 grid field)
@@ -118,8 +118,7 @@ def _corrector(a: CoefficientField, i, opts, digest=None):
 
 def _cell_responses(a: CoefficientField, cell, opts, digest):
     """W_k = A^-1 U_k for k < d, U_k = -div(e_k delta_cell), stacked:
-    shape (d,) + grid, memoized like ``_corrector``; the d solves share
-    one ``operator(a)``."""
+    shape (d,) + grid, memoized like ``_corrector``."""
 
     def solve():
         d, op = a.grid.d, operator(a)
@@ -176,8 +175,8 @@ def malliavin_derivative(a: CoefficientField, spec: FunctionalSpec,
     F(a) is evaluated from the same phi_i and stored as ``value``.
     """
     opts = opts or SolveOptions()
-    i = spec.direction
-    phi = _corrector(a, i, opts)
+    i, digest = spec.direction, _digest(a)
+    phi = _corrector(a, i, opts, digest)
     w = grad(phi)
     w[i] += 1.0
     at = a.transpose()
@@ -196,7 +195,7 @@ def malliavin_derivative(a: CoefficientField, spec: FunctionalSpec,
     if not rep.converged:
         raise RuntimeError(f"adjoint solve failed: {rep}")
     deriv = np.einsum("p...,q...->pq...", left, w)
-    return DerivativeField(deriv, _value(a, spec, phi), opts)
+    return DerivativeField(deriv, _value(a, spec, phi), opts, digest)
 
 
 def carre_du_champ(deriv: DerivativeField, labels):
@@ -224,11 +223,11 @@ def fd_check(a: CoefficientField, spec: FunctionalSpec, cell, delta_a,
     The perturbed corrector is the rank-d update of the module docstring,
     phi_i - sum_k y_k W_k with y = (I + C G)^-1 C (e_i + grad phi_i(x0)),
     exact up to the solve tolerance: the first check on a cell solves its d
-    responses W_k, later ones on the same field and options none.  The
-    unperturbed F(a) is ``deriv.value``; without ``deriv`` the derivative
-    is computed first.  A ``deriv`` computed with options other than
-    ``opts`` raises ValueError, since both values of the difference
-    quotient must come from solves at the same tolerance.  So does a
+    responses W_k, later ones on the same field and options none.  F(a) and
+    the digest of ``a`` are ``deriv``'s, so ``a`` is not hashed; without
+    ``deriv`` the derivative is computed first.  A ``deriv`` computed with
+    options other than ``opts`` raises ValueError, since both values of the
+    difference quotient must come from solves at the same tolerance.  So does a
     ``cell`` that is not d integers in [0, n), a ``delta_a`` that is not a
     finite d x d matrix, and a ``t`` that is zero or not finite.
 
@@ -256,11 +255,11 @@ def fd_check(a: CoefficientField, spec: FunctionalSpec, cell, delta_a,
     local = deriv.deriv[(Ellipsis,) + cell]
     adj = float(np.sum(local * delta_a))
     c = t * delta_a
-    a2 = a.a.copy()
-    a2[(Ellipsis,) + cell] += c
-    pert = CoefficientField(a2, a.lam_eff, a.grid)
     phi_pert = _perturbed_corrector(a, spec.direction, cell, c, opts,
-                                    _digest(a))
-    fd = (_value(pert, spec, phi_pert) - deriv.value) / t
+                                    deriv.digest)
+    if spec.kind == "sigma":  # a phi value reads no a; sigma's reads a + C
+        a = CoefficientField(a.a.copy(), a.lam_eff, a.grid)
+        a.a[(Ellipsis,) + cell] += c
+    fd = (_value(a, spec, phi_pert) - deriv.value) / t
     denom = max(float(np.linalg.norm(local) * np.linalg.norm(delta_a)), 1e-300)
     return abs(fd - adj) / denom, fd, adj

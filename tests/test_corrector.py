@@ -6,6 +6,7 @@ import pytest
 from scipy.fft import rfftn
 
 import homlab.corrector
+import homlab.kernels
 
 from homlab.corrector import (CorrectorSet, SkewField, build_corrector_set,
                               compute_corrector, extended_rows,
@@ -123,6 +124,31 @@ class TestCorrector:
         assert np.array_equal(phi[0], full[1])
         phi, _ = compute_corrector(a, OPTS, directions=[1, 0])
         assert np.array_equal(phi, full[::-1])
+
+
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    def test_directions_share_one_operator(self, monkeypatch, nu):
+        # the symmetry test and the coupled columns run once for d solves
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        a = _random_field(3, nu=nu, grid=GridSpec(3, 16))
+        want, _ = compute_corrector(a, OPTS)
+        monkeypatch.setattr(CoefficientField, "is_symmetric",
+                            counting("is_symmetric",
+                                     CoefficientField.is_symmetric))
+        monkeypatch.setattr(homlab.kernels, "coupled_columns",
+                            counting("coupled_columns",
+                                     homlab.kernels.coupled_columns))
+        phi, reports = compute_corrector(a, OPTS)
+        assert sorted(calls) == ["coupled_columns", "is_symmetric"]
+        assert len(reports) == 3 and all(r.converged for r in reports)
+        assert np.array_equal(phi, want)
 
 
 class TestFluxAndAhom:

@@ -35,14 +35,23 @@ def _laminate(vals, n=32):
 
 def _unpreconditioned(k, rhs, symmetric, opts):
     """(x, steps) of scipy's CG (symmetric) or BiCGStab on the sparse
-    matrix ``k`` with no preconditioner, stopped where the solvers stop
-    theirs: at 0.1 tol relative residual."""
+    matrix ``k`` with no preconditioner, stopped at 0.1 tol relative
+    residual: tighter than the solvers, which stop at tol, so a reference
+    for their solutions."""
     steps = []
     x, info = (cg if symmetric else bicgstab)(
         k, rhs, rtol=0.1 * opts.tol, atol=0.0,
         callback=lambda xk: steps.append(None))
     assert info == 0
     return x, len(steps)
+
+
+def _recording(fn, calls):
+    """``fn``, appending its name to ``calls`` on each call."""
+    def wrapped(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapped
 
 
 class TestOptions:
@@ -126,6 +135,49 @@ class TestDivform:
         assert rep.iterations <= 3
         assert rep.converged is False
 
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    def test_loose_first_call_continues(self, monkeypatch, nu):
+        # scipy's first call is made to stop at 1e-3, far above tol: the
+        # solve continues once from its iterate, reports converged from the
+        # recomputed residual and counts the steps of both calls
+        name = "cg" if nu == 0.0 else "bicgstab"
+        real, calls = getattr(elliptic, name), []
+
+        def loose_first(A, b, **kwargs):
+            steps, callback = [], kwargs["callback"]
+
+            def counting(xk):
+                steps.append(None)
+                callback(xk)
+
+            rtol = 1e-3 if not calls else kwargs["rtol"]
+            out = real(A, b, **dict(kwargs, rtol=rtol, callback=counting))
+            calls.append((kwargs["x0"] is not None, len(steps)))
+            return out
+
+        monkeypatch.setattr(elliptic, name, loose_first)
+        a = _random_field(4, nu=nu)
+        g = np.random.default_rng(4).standard_normal((2,) + GRID.shape)
+        opts = SolveOptions(tol=1e-10)
+        u, rep = solve_divform(a, g, opts)
+        assert [x0 for x0, _ in calls] == [False, True]
+        assert calls[0][1] > 0 and calls[1][1] > 0
+        assert rep.iterations == calls[0][1] + calls[1][1]
+        rhs = div(g)
+        rhs -= rhs.mean()
+        res = np.linalg.norm(divform_apply(a.a, u) - rhs) / np.linalg.norm(rhs)
+        assert rep.residual == pytest.approx(res, rel=1e-12)
+        assert rep.converged and rep.residual <= opts.tol
+        # one step after the loose call, the continuation stops at the cap
+        # and the report says so
+        loose = calls[0][1]
+        calls.clear()
+        capped = SolveOptions(tol=1e-10, max_iter=loose + 1)
+        _, rep = solve_divform(a, g, capped)
+        assert [x0 for x0, _ in calls] == [False, True]
+        assert rep.iterations == capped.max_iter
+        assert not rep.converged and rep.residual > capped.tol
+
     def test_report_residual_honest(self):
         a = _random_field(5)
         g = np.random.default_rng(5).standard_normal((2,) + GRID.shape)
@@ -176,7 +228,7 @@ class TestSpectralPreconditioner:
     @pytest.mark.parametrize("nu", [0.0, 0.2])
     def test_symmetric_positive(self, nu, shift):
         # symmetric and positive on zero-mean inputs, blind to a constant
-        apply = elliptic._spectral_inverse(_random_field(6, nu=nu))
+        apply = elliptic.operator(_random_field(6, nu=nu)).precond
         x, y = np.random.default_rng(6).standard_normal((2,) + GRID.shape)
         x -= x.mean()
         y -= y.mean()
@@ -198,9 +250,9 @@ class TestSpectralPreconditioner:
             return divform_apply(b, u, cols)
 
         monkeypatch.setattr(elliptic.kernels, "divform_apply", spy)
-        got = elliptic._spectral_inverse(a)(x)
+        got = elliptic.operator(a).precond(x)
         a.a[2, 2, 0, 0] += 0.125  # now the blocks differ
-        other = elliptic._spectral_inverse(a)(x)
+        other = elliptic.operator(a).precond(x)
         a.a[2, 2, 0, 0] -= 0.125
         shared, each = seen
         assert np.shares_memory(shared[0, 0], shared[2, 2])
@@ -376,6 +428,27 @@ class TestDirichletBall:
         assert rep.iterations < steps
         assert (np.max(np.abs(u.reshape(-1) - want))
                 < 1e-8 * np.max(np.abs(want)))
+
+
+    @pytest.mark.parametrize("cell, want", [((0, 0), "cg"),
+                                            ((16, 16), "bicgstab")])
+    def test_krylov_method_from_the_box(self, monkeypatch, cell, want):
+        # a skew entry outside the ball's box leaves the box symmetric: CG,
+        # and the solution of the symmetric field; one inside: BiCGStab
+        a = _random_field(8)
+        ball = Ball((16.0, 16.0), 5.0)
+        boundary = np.random.default_rng(8).standard_normal(GRID.shape)
+        plain, _ = solve_dirichlet_ball(a, ball, boundary, OPTS)
+        a.a[0, 1][cell] += 0.05
+        assert not a.is_symmetric()
+        used = []
+        for name in ("cg", "bicgstab"):
+            monkeypatch.setattr(elliptic, name,
+                                _recording(getattr(elliptic, name), used))
+        u, rep = solve_dirichlet_ball(a, ball, boundary, OPTS)
+        assert rep.converged and set(used) == {want}
+        if want == "cg":
+            assert np.array_equal(u, plain)
 
 
 class TestDirichletBallReference:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import homlab.corrector
+import homlab.kernels
 import homlab.sensitivity
 from homlab.corrector import build_corrector_set, compute_corrector
 from homlab.elliptic import SolveOptions
@@ -58,6 +59,53 @@ def _count_solves(monkeypatch):
                         counting("adjoint",
                                  homlab.sensitivity.solve_divform_rhs))
     return calls
+
+
+class TestDigest:
+    @pytest.mark.parametrize("kind", ["phi", "sigma"])
+    def test_fd_check_reuses_the_derivative_digest(self, monkeypatch, kind):
+        # given the derivative, fd_check hashes the coefficients 0 times and
+        # returns what it returns without it; ``a`` itself is not perturbed
+        a = _field(3)
+        before = a.a.copy()
+        spec = FunctionalSpec(kind, _weight(3))
+        deriv = malliavin_derivative(a, spec, OPTS)
+        hashed = []
+        real = homlab.sensitivity._digest
+
+        def spy(b):
+            hashed.append(b)
+            return real(b)
+
+        monkeypatch.setattr(homlab.sensitivity, "_digest", spy)
+        got = fd_check(a, spec, (5, 9), np.eye(2), 1e-5, OPTS, deriv)
+        assert hashed == []
+        want = fd_check(a, spec, (5, 9), np.eye(2), 1e-5, OPTS)
+        assert len(hashed) == 1  # the derivative's own, made inside
+        assert got == want
+        assert np.array_equal(a.a, before)
+
+
+    def test_cell_responses_share_one_operator(self, monkeypatch):
+        # the d response solves of a cell run the symmetry test and the
+        # coupled columns once
+        a = _field(4)
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(CoefficientField, "is_symmetric",
+                            counting(CoefficientField.is_symmetric))
+        monkeypatch.setattr(homlab.kernels, "coupled_columns",
+                            counting(homlab.kernels.coupled_columns))
+        w = homlab.sensitivity._cell_responses(
+            a, (5, 9), OPTS, homlab.sensitivity._digest(a))
+        assert w.shape == (2,) + GRID.shape
+        assert sorted(calls) == ["coupled_columns", "is_symmetric"]
 
 
 class TestSpec:
