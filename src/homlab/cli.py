@@ -15,8 +15,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .corrector import (build_corrector_set, extended_spectra,
-                        save_corrector_set)
+from .corrector import build_corrector_set, save_corrector_set
 from .diagnostics import growth_profile, minimal_radius
 from .ensemble import (KINDS, ExperimentPlan, records_to_csv, run_ensemble,
                        sample_coefficients, summarize)
@@ -186,9 +185,7 @@ def cmd_diagnose(cfg, outdir):
     plan = _plan_from_config(cfg, "growth")
     a = sample_coefficients(plan, 0)
     corr = build_corrector_set(a, plan.opts())
-    radii = plan.effective_radii()
-    prof = growth_profile(extended_spectra(a, corr.phi), a.grid, radii,
-                          plan.beta_eff)
+    prof = growth_profile(corr, plan.effective_radii(), plan.beta_eff)
     rep = minimal_radius(corr, plan.delta)
     lines = ["radius,V,reference"]
     for r, v, g in zip(prof.radii, prof.values, prof.reference):

@@ -6,26 +6,26 @@ q_i = a (grad phi_i + e_i) - a_hom e_i with a_hom e_i the torus mean of
 a (grad phi_i + e_i), and the flux corrector sigma_ijk solves
 -lap sigma_ijk = d_j q_ik - d_k q_ij spectrally (forward differences on the
 right, so that div sigma_i = q_i holds up to the corrector residual).
-Every sigma is made from one stream of right-hand sides on phi alone, which
-makes each q_i when it is reached and raises unless phi holds all d rows:
-``CorrectorSet.sigma`` stacks their Poisson solves, and the components of
-(phi, sigma) come one at a time from ``extended_rows(a, phi)`` in real
-space and ``extended_spectra(a, phi)`` as rfft half spectra, each sigma
-row's spectrum straight from its right-hand side.  ``build_corrector_set``
-is the one producer of a_hom.  A ``CorrectorSet`` holds the coefficients,
-phi, a_hom and the solve reports; its q and sigma are made on each access,
-and the gradients of phi where they are read.
+A ``CorrectorSet`` holds the coefficients, all d correctors phi and the
+solve reports, and is the one input of everything made from them.  Its
+a_hom is made once, on its first access; its q and sigma are made on each
+access, and the gradients of phi where they are read.  Every sigma is made
+from one stream of right-hand sides on the set, which makes each q_i when
+it is reached: ``CorrectorSet.sigma`` stacks their Poisson solves, and the
+components of (phi, sigma) come one at a time from ``extended_rows(corr)``
+in real space and ``extended_spectra(corr)`` as rfft half spectra, each
+sigma row's spectrum straight from its right-hand side.
 """
 
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 from scipy.fft import rfftn
 
-from . import kernels
 from .elliptic import SolveOptions, operator, solve_divform
 from .lattice import (_inverse_laplacian, _pdiff, grad, poisson_solve,
                       save_field)
@@ -79,18 +79,23 @@ class SkewField:
 
 @dataclass
 class CorrectorSet:
-    """The d correctors of the coefficients ``a``, a_hom and the solve
-    reports; q and sigma are made from them on each access."""
+    """The d correctors of ``a`` and their solve reports; a_hom is made
+    once, on first access, and q and sigma on each access."""
 
     a: CoefficientField
     phi: np.ndarray              # (d,) + grid
-    a_hom: np.ndarray            # (d, d)
     reports: list
 
     def __post_init__(self):
         if len(self.phi) != self.a.grid.d:  # a row's position is its direction
             raise ValueError(f"need all {self.a.grid.d} correctors, "
                              f"got {len(self.phi)}")
+
+    @cached_property
+    def a_hom(self):
+        """(d, d): column i is the torus mean of a (grad phi_i + e_i)."""
+        return np.stack([_flux(self.a, grad(phi_i), i)[1]
+                         for i, phi_i in enumerate(self.phi)], axis=1)
 
     @property
     def q(self):
@@ -108,8 +113,7 @@ class CorrectorSet:
         stacked; spectrally exact, zero mean, made on each access."""
         d, shape = self.a.grid.d, self.a.grid.shape
         vals = np.empty((d, len(_pairs(d))) + shape)
-        for row, curl in zip(vals.reshape((-1,) + shape),
-                             _curls(self.a, self.phi)):
+        for row, curl in zip(vals.reshape((-1,) + shape), _curls(self)):
             row[...] = poisson_solve(curl)
         return SkewField(vals, d)
 
@@ -139,9 +143,7 @@ def _flux(a: CoefficientField, dphi_i, i):
     ``dphi_i`` = grad phi_i, which is overwritten."""
     d = a.grid.d
     dphi_i[i] += 1.0
-    flux = np.empty_like(dphi_i)
-    for p, row in enumerate(kernels.coupled_columns(a.a)):
-        flux[p] = sum(a.a[p, q] * dphi_i[q] for q in row)
+    flux = np.einsum("pq...,q...->p...", a.a, dphi_i)
     mean = flux.reshape(d, -1).mean(axis=1)
     flux -= mean.reshape((d,) + (1,) * d)
     return flux, mean
@@ -157,24 +159,15 @@ def _curl(q_i, j, k):
     return np.add(out, q_i[j], out=out)
 
 
-def _curls(a: CoefficientField, phi):
+def _curls(corr: CorrectorSet):
     """The right-hand side of sigma_ijk for each i in turn and its pairs
     j < k in order, each made when it is reached from q_i, itself made from
-    phi_i when reached.  Raises ValueError at the call, before anything is
-    made, unless ``phi`` holds all d correctors: a row's position is its
-    direction."""
-    d = a.grid.d
-    if len(phi) != d:
-        raise ValueError(f"need all {d} correctors, got {len(phi)}")
-
-    def stream():
-        for i, phi_i in enumerate(phi):
-            q_i = _flux(a, grad(phi_i), i)[0]
-            for j, k in _pairs(d):
-                yield _curl(q_i, j, k)
-            del q_i  # before the stream makes the next one
-
-    return stream()
+    phi_i when reached."""
+    for i, phi_i in enumerate(corr.phi):
+        q_i = _flux(corr.a, grad(phi_i), i)[0]
+        for j, k in _pairs(corr.a.grid.d):
+            yield _curl(q_i, j, k)
+        del q_i  # before the stream makes the next one
 
 
 def sigma_component(a: CoefficientField, phi_i, i, j, k):
@@ -183,32 +176,27 @@ def sigma_component(a: CoefficientField, phi_i, i, j, k):
     return poisson_solve(_curl(_flux(a, grad(phi_i), i)[0], j, k))
 
 
-def extended_rows(a: CoefficientField, phi):
+def extended_rows(corr: CorrectorSet):
     """The components of the extended corrector (phi, sigma), made when
     reached: phi's rows, then sqrt(2) sigma_ijk for each i and pair j < k,
     so that the plain sum of squares is |(phi, sigma)|^2 (each unordered
-    pair stands for both orderings); neither q nor sigma is held whole.
-    ``phi`` must hold all d correctors, else ValueError at the call."""
-    curls = _curls(a, phi)
-    return chain(phi, (poisson_solve(c) * np.sqrt(2.0) for c in curls))
+    pair stands for both orderings); neither q nor sigma is held whole."""
+    return chain(corr.phi, (poisson_solve(c) * np.sqrt(2.0)
+                            for c in _curls(corr)))
 
 
-def extended_spectra(a: CoefficientField, phi):
-    """rfftn of each of ``extended_rows(a, phi)``, made when reached: each
+def extended_spectra(corr: CorrectorSet):
+    """rfftn of each of ``extended_rows(corr)``, made when reached: each
     sigma row's spectrum is sqrt(2) K^-1 rfftn(curl)."""
-    curls = _curls(a, phi)
-    mult = np.sqrt(2.0) * _inverse_laplacian(a.grid.shape)
-    return chain(map(rfftn, phi), (np.multiply(s, mult, out=s)
-                                   for s in map(rfftn, curls)))
+    mult = np.sqrt(2.0) * _inverse_laplacian(corr.a.grid.shape)
+    return chain(map(rfftn, corr.phi), (np.multiply(s, mult, out=s)
+                                        for s in map(rfftn, _curls(corr))))
 
 
 def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):
-    """Correctors of all d directions and a_hom, whose column i is the mean
-    of a (grad phi_i + e_i); no flux is kept."""
-    phi, reports = compute_corrector(a, opts)
-    a_hom = np.stack([_flux(a, grad(phi_i), i)[1]
-                      for i, phi_i in enumerate(phi)], axis=1)
-    return CorrectorSet(a, phi, a_hom, reports)
+    """The set of the correctors of all d directions; its a_hom is made on
+    first access."""
+    return CorrectorSet(a, *compute_corrector(a, opts))
 
 
 def save_corrector_set(corr: CorrectorSet, outdir):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import CorrectorSet, extended_rows
+from .corrector import CorrectorSet, extended_rows, extended_spectra
 from .elliptic import SolveOptions, solve_dirichlet_ball
 from .lattice import (Ball, GridSpec, _grad_at, _offsets, ball_mask, grad,
                       mean_ball_variance)
@@ -105,7 +105,7 @@ def _ball_variances(corr: CorrectorSet, center):
     radii = dyadic_radii(corr.a.grid)
     masks = [ball_mask(corr.a.grid, Ball(center, r)) for r in radii]
     vals = np.zeros(len(radii))
-    for row in extended_rows(corr.a, corr.phi):
+    for row in extended_rows(corr):
         for m, mask in enumerate(masks):
             inside = row[mask]
             vals[m] += np.mean(inside**2) - np.mean(inside)**2
@@ -175,14 +175,15 @@ def regime_reference(d, beta, radii):
     return radii ** (d * (beta - 1.0 + 2.0 / d)), "growing"
 
 
-def growth_profile(spectra, grid: GridSpec, radii, beta=0.0):
+def growth_profile(corr: CorrectorSet, radii, beta=0.0):
     """Centered ball variance of (phi, sigma) as a function of R, averaged
     over all torus centers (by Parseval, so every center contributes), from
     the rows' rfft half spectra, as ``extended_spectra`` yields them."""
+    grid = corr.a.grid
     radii = np.asarray(radii, dtype=np.float64)
     if not np.all((radii >= 0.5) & (radii <= grid.n / 8)):  # nan fails too
         raise ValueError(f"growth radii must lie in [0.5, L/8 = "
                          f"{grid.n / 8}], got {radii.tolist()}")
-    vals = mean_ball_variance(spectra, radii, grid)
+    vals = mean_ball_variance(extended_spectra(corr), radii, grid)
     ref, regime = regime_reference(grid.d, beta, radii)
     return GrowthProfile(radii, vals, ref, regime)

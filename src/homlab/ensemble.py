@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fftfreq, rfftfreq
 
-from .corrector import (build_corrector_set, compute_corrector,
-                        extended_rows, extended_spectra)
+from .corrector import build_corrector_set, compute_corrector, extended_rows
 from .diagnostics import (_ball_variances, _smallest_radius, dyadic_radii,
                           excess_decay_experiment, growth_profile,
                           minimal_radius)
@@ -63,6 +62,11 @@ class ExperimentPlan:
                                  f"[0.5, L/{frac}]")
         for n in self.grids:
             GridSpec(self.d, n)
+        for name, label in (("radii", "{:g}"), ("grids", "{}"),
+                            ("deltas", "{:g}")):  # as the record keys read
+            labels = [label.format(x) for x in getattr(self, name)]
+            if len(set(labels)) < len(labels):
+                raise ValueError(f"{name} {labels} repeat a record label")
         if self.kind == "twoscale" and len(self.grids) < 2:
             raise ValueError("twoscale needs at least two grids for a rate")
         if not (self.delta > 0 and all(x > 0 for x in self.deltas)):
@@ -128,9 +132,8 @@ def _run_scaling(plan, index):
 
 def _run_growth(plan, index):
     a = sample_coefficients(plan, index)
-    phi, _ = compute_corrector(a, plan.opts())
-    prof = growth_profile(extended_spectra(a, phi), a.grid,
-                          plan.effective_radii(), plan.beta_eff)
+    corr = build_corrector_set(a, plan.opts())  # a_hom is never made here
+    prof = growth_profile(corr, plan.effective_radii(), plan.beta_eff)
     return {f"V_r{r:g}": v for r, v in zip(prof.radii, prof.values)}
 
 
@@ -170,7 +173,7 @@ def _run_twoscale(plan, index):
         # error bound prefactor: per-realization extended-corrector norm
         # (the random field C(x) controlling the local corrector size)
         cnorm = float(np.sqrt(sum(np.mean(c**2)
-                                  for c in extended_rows(a, phi))))
+                                  for c in extended_rows(corr))))
         # Hessian in macroscopic units (data varies on scale n = 1/eps)
         den = cnorm * n * float(np.sqrt(np.mean(np.sum(hess**2,
                                                        axis=(0, 1)))))
@@ -277,11 +280,12 @@ class FitResult:
 
 
 def fit_linear(x, y):
-    """Least-squares line through (x, y): its slope and R^2."""
+    """Least-squares line through (x, y): its slope and R^2; raises
+    ValueError unless x holds at least two distinct values."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.size < 2:
-        raise ValueError("need at least 2 points")
+    if np.unique(x).size < 2:  # else polyfit is rank deficient
+        raise ValueError(f"need at least 2 distinct x values, got {x}")
     slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
     ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.fft import rfftn
 
 import homlab.corrector
+import homlab.ensemble
 import homlab.kernels
 
 from homlab.corrector import (CorrectorSet, SkewField, build_corrector_set,
@@ -42,6 +44,20 @@ def _flux_and_ahom(a, phi):
     for i in range(d):
         q[i], a_hom[:, i] = homlab.corrector._flux(a, grad(phi[i]), i)
     return q, a_hom
+
+
+def _spy_flux(monkeypatch):
+    """Patch ``corrector._flux`` to record the name of each call's caller;
+    returns that growing list."""
+    callers = []
+    flux = homlab.corrector._flux
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return flux(*args)
+
+    monkeypatch.setattr(homlab.corrector, "_flux", spy)
+    return callers
 
 
 def _set_flux_and_ahom(a, opts=OPTS):
@@ -252,7 +268,7 @@ class TestSigma:
     def test_constant_zero(self):
         a = constant_coefficients(GRID)
         zeros = np.zeros((2,) + GRID.shape)
-        s = CorrectorSet(a, zeros, np.eye(2), []).sigma
+        s = CorrectorSet(a, zeros, []).sigma
         assert np.all(s.values == 0.0)
 
 
@@ -279,7 +295,26 @@ class TestCorrectorSet:
         bad = corr.phi[1:] if rows == "first_missing" else np.concatenate(
             [corr.phi, corr.phi[:1]])
         with pytest.raises(ValueError, match="need all 2 correctors"):
-            CorrectorSet(a, bad, corr.a_hom, corr.reports)
+            CorrectorSet(a, bad, corr.reports)
+
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 16)])
+    def test_a_hom_is_made_once_on_first_access(self, monkeypatch, grid):
+        corr = build_corrector_set(_random_field(17, grid=grid), OPTS)
+        callers = _spy_flux(monkeypatch)
+        assert callers == []  # building the set makes no flux
+        first = corr.a_hom
+        assert corr.a_hom is first
+        assert len(callers) == grid.d
+
+    @pytest.mark.parametrize("d, n, gamma", [(2, 32, 2.5), (3, 16, 3.5)])
+    def test_growth_realization_never_makes_a_hom(self, monkeypatch, d, n,
+                                                  gamma):
+        # each q_i is made once, by the sigma stream the profile reads
+        callers = _spy_flux(monkeypatch)
+        plan = homlab.ensemble.ExperimentPlan(kind="growth", d=d, n=n,
+                                              gamma=gamma, m=2)
+        homlab.ensemble._run_growth(plan, 0)
+        assert callers == ["_curls"] * d
 
     @pytest.mark.parametrize("nu", [0.0, 0.1])
     def test_q_and_sigma_are_made_from_phi(self, nu):
@@ -309,7 +344,7 @@ class TestExtended:
     def test_component_count_and_norm(self):
         a = _random_field(9)
         corr = build_corrector_set(a, OPTS)
-        comps = np.stack(list(extended_rows(a, corr.phi)))
+        comps = np.stack(list(extended_rows(corr)))
         assert comps.shape[0] == 4  # d phi components + d * (one pair) in d=2
         # sum of squares equals |phi|^2 + |sigma|^2 over the full skew tensor
         sigma = corr.sigma
@@ -326,7 +361,7 @@ class TestExtended:
         phi, _ = compute_corrector(a, OPTS)
         q, _ = _flux_and_ahom(a, phi)
         want = _stacked(phi, _sigma_from_q(q))
-        rows = list(extended_rows(a, phi))
+        rows = list(extended_rows(CorrectorSet(a, phi, [])))
         assert len(rows) == len(want)
         assert all(np.array_equal(r, w) for r, w in zip(rows, want))
 
@@ -339,22 +374,8 @@ class TestExtended:
         comps = _stacked(corr.phi, corr.sigma)
         radii = (1.0, 2.0, 4.0)
         want = mean_ball_variance([rfftn(c) for c in comps], radii, GRID)
-        got = growth_profile(extended_spectra(a, corr.phi), GRID,
-                             radii).values
+        got = growth_profile(corr, radii).values
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-
-    @pytest.mark.parametrize("stream", [extended_rows, extended_spectra])
-    @pytest.mark.parametrize("rows", ["first_missing", "one_extra"])
-    def test_phi_without_d_rows_rejected(self, stream, rows):
-        # a row's position is its direction: without all d rows the sigma
-        # rows would be those of other directions, so the call raises
-        # before anything is made
-        a = _random_field(15)
-        phi, _ = compute_corrector(a, OPTS)
-        bad = phi[1:] if rows == "first_missing" else np.concatenate(
-            [phi, phi[:1]])
-        with pytest.raises(ValueError, match="need all 2 correctors"):
-            stream(a, bad)
 
     @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 16)])
     def test_streamed_rows_equal_the_stacked_ones(self, grid):
@@ -365,7 +386,7 @@ class TestExtended:
         phi, _ = compute_corrector(a, OPTS)
         q, _ = _flux_and_ahom(a, phi)
         want = [rfftn(c) for c in _stacked(phi, _sigma_from_q(q))]
-        rows = list(extended_spectra(a, phi))
+        rows = list(extended_spectra(CorrectorSet(a, phi, [])))
         assert len(rows) == len(want)
         d = grid.d
         assert all(np.array_equal(r, w) for r, w in zip(rows[:d], want))

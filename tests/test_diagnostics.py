@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homlab.corrector import (build_corrector_set, extended_rows,
-                              extended_spectra)
+from homlab.corrector import build_corrector_set, extended_rows
 from homlab.diagnostics import (DegenerateGramError, dyadic_radii, excess,
                                 excess_decay_experiment, growth_profile,
                                 harmonic_quadratic, minimal_radius,
@@ -31,7 +30,7 @@ def _corr(seed=0, grid=GRID):
 def _growth_by_ball_means(corr, radii):
     """Reference growth profile in real space: for each component c the
     torus mean of K_R * c^2 - (K_R * c)^2, by two ball-mean convolutions."""
-    comps = list(extended_rows(corr.a, corr.phi))
+    comps = list(extended_rows(corr))
     vals = []
     for r in radii:
         total = 0.0
@@ -68,7 +67,7 @@ def _minimal_radius_values(corr, center):
     """One ``ball_mask`` per radius: the reference for ``minimal_radius``,
     which streams the rows through all radii; here the rows' variances are
     summed per radius, in order, one row at a time."""
-    comps = list(extended_rows(corr.a, corr.phi))
+    comps = list(extended_rows(corr))
     vals = []
     for r in dyadic_radii(corr.a.grid):
         mask = ball_mask(corr.a.grid, Ball(center, r))
@@ -261,8 +260,7 @@ class TestGrowth:
 
     def test_profile_monotone(self):
         a, corr = _corr(6)
-        prof = growth_profile(extended_spectra(a, corr.phi),
-                              a.grid, [2.0, 4.0, 8.0], beta=0.0)
+        prof = growth_profile(corr, [2.0, 4.0, 8.0], beta=0.0)
         assert prof.regime == "critical"
         assert np.all(np.diff(prof.values) > 0.0)  # variance grows with R
 
@@ -274,27 +272,23 @@ class TestGrowth:
         a = to_coefficients(g, CoefficientModel(0.25, 0.0), None, grid)
         corr = build_corrector_set(a, OPTS)
         radii = [1.0, 2.0, n / 8]
-        comps = list(extended_rows(a, corr.phi))
-        got = growth_profile(extended_spectra(a, corr.phi), grid,
-                             radii).values
+        comps = list(extended_rows(corr))
+        got = growth_profile(corr, radii).values
         want = _growth_by_ball_means(corr, radii)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         # a single-cell ball has no variance
         total = sum(float(np.mean(c**2)) for c in comps)
-        single = growth_profile(extended_spectra(a, corr.phi), grid,
-                                [0.5]).values[0]
+        single = growth_profile(corr, [0.5]).values[0]
         assert abs(single) <= 1e-12 * total
 
     def test_radius_cap(self):
         a, corr = _corr(6)
         with pytest.raises(ValueError):
-            growth_profile(extended_spectra(a, corr.phi),
-                           a.grid, [32.0], beta=0.0)
+            growth_profile(corr, [32.0], beta=0.0)
 
     @pytest.mark.parametrize("radius", [np.nan, -2.0, 0.25])
     def test_nan_or_small_radius_rejected(self, radius):
         # unchecked, -2 is read as a radius of 2, against a -inf reference
         a, corr = _corr(6)
         with pytest.raises(ValueError, match="L/8"):
-            growth_profile(extended_spectra(a, corr.phi), a.grid,
-                           [2.0, radius])
+            growth_profile(corr, [2.0, radius])

@@ -43,7 +43,10 @@ class TestPlan:
         dict(radii=(0.25,)), dict(grids=(16, 15)), dict(delta=0.0),
         dict(deltas=(0.1, -0.1)), dict(tol=0.1), dict(max_iter=0),
         dict(lam=1.5), dict(nu=0.5), dict(gamma=0.0), dict(gamma=1.5),
-        dict(gamma=np.nan), dict(gamma=np.inf), dict(nu=np.nan)])
+        dict(gamma=np.nan), dict(gamma=np.inf), dict(nu=np.nan),
+        # repeated record labels: f"{r:g}" reads 2.0000001 as 2
+        dict(radii=(2.0, 2.0)), dict(radii=(2.0, 2.0000001)),
+        dict(grids=(16, 16)), dict(deltas=(0.1, 0.1))])
     def test_config_values_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             ExperimentPlan(**dict(dict(kind="scaling", n=32), **bad))
@@ -142,6 +145,13 @@ class TestFits:
         fit = fit_linear(x, 2.0 * x + 1.0)
         assert np.isclose(fit.slope, 2.0)
         assert fit.r_squared == 1.0
+
+    @pytest.mark.parametrize("x", [[1.0, 1.0], [3.0], [2.0, 2.0, 2.0]])
+    def test_linear_without_two_distinct_x_rejected(self, x):
+        # [1, 1] against [1, 2] used to give slope 0.75 and R^2 0 with only
+        # a RankWarning
+        with pytest.raises(ValueError, match="2 distinct"):
+            fit_linear(x, np.arange(1.0, len(x) + 1.0))
 
 
 class TestTailFit:
