@@ -16,8 +16,8 @@ from .corrector import (CorrectorSet, SkewField, build_corrector_set,
 from .diagnostics import (DegenerateGramError, ExcessReport, GrowthProfile,
                           MinimalRadiusReport, excess, excess_decay_experiment,
                           growth_profile, minimal_radius)
-from .elliptic import (SolveOptions, SolveReport, solve_dirichlet_ball,
-                       solve_divform, solve_divform_rhs)
+from .elliptic import (SolveError, SolveOptions, SolveReport,
+                       solve_dirichlet_ball, solve_divform, solve_divform_rhs)
 from .ensemble import (ExperimentPlan, ExperimentRecord, FitResult,
                        fit_linear, fit_power_law, fit_tail, run_ensemble,
                        summarize)

@@ -127,13 +127,7 @@ def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
     reports = []
     op = operator(a)
     for row, i in enumerate(directions):
-        g = a.a[:, i]  # a e_i as a vector field
-        u, rep = solve_divform(op, g, opts)
-        if not rep.converged:
-            raise RuntimeError(
-                f"corrector solve for direction {i} did not converge "
-                f"(residual {rep.residual:.3e})")
-        phi[row] = u
+        phi[row], rep = solve_divform(op, a.a[:, i], opts)  # g = a e_i
         reports.append(rep)
     return phi, reports
 

@@ -15,7 +15,8 @@ after 0 steps (ball data the interior stencil never reads give 0 inside),
 and the residual, recomputed from scratch by each problem's ``finish``, is
 relative to |rhs|.  scipy stops at tol; a recomputed residual above it,
 with a finite iterate and steps left, continues once from that iterate to
-0.1 tol.  Iterations are the Krylov steps of both calls.
+0.1 tol.  Iterations are the Krylov steps of both calls.  A final residual
+above tol raises ``SolveError``: every report a solve returns converged.
 """
 
 import math
@@ -33,6 +34,7 @@ from .randomfield import CoefficientField, _is_symmetric
 __all__ = [
     "SolveOptions",
     "SolveReport",
+    "SolveError",
     "operator",
     "solve_divform",
     "solve_divform_rhs",
@@ -48,8 +50,9 @@ class SolveOptions:
     def __post_init__(self):
         if not 0.0 < self.tol <= 1e-3:
             raise ValueError("tol must lie in (0, 1e-3]")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if (not isinstance(self.max_iter, (int, np.integer))
+                or isinstance(self.max_iter, bool) or self.max_iter < 1):
+            raise ValueError("max_iter must be an integer >= 1")
 
 
 @dataclass
@@ -57,6 +60,14 @@ class SolveReport:
     iterations: int
     residual: float
     converged: bool
+
+
+class SolveError(RuntimeError):
+    """An unconverged solve; ``report`` is its final ``SolveReport``."""
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
 
 
 class _NonFinite(Exception):
@@ -69,7 +80,8 @@ def _krylov(solver, matvec, rhs, precond, opts: SolveOptions, finish):
     turns an iterate into the solution and returns it with its residual
     norm; returns (solution, SolveReport), the residual relative to |rhs|.
     A zero ``rhs`` is finished at x = 0 after 0 steps.  A breakdown or a
-    non-finite iterate is not an error: the recomputed residual decides."""
+    non-finite iterate stops scipy; a recomputed residual above tol raises
+    ``SolveError``."""
     opts = opts or SolveOptions()
     bnorm = float(np.linalg.norm(rhs))
     if not math.isfinite(bnorm):  # a Krylov solve would not stop on it
@@ -102,7 +114,12 @@ def _krylov(solver, matvec, rhs, precond, opts: SolveOptions, finish):
         if not (res > opts.tol and len(steps) < opts.max_iter
                 and math.isfinite(vec[0])):
             break
-    return u, SolveReport(len(steps), res, res <= opts.tol)
+    report = SolveReport(len(steps), res, res <= opts.tol)
+    if not report.converged:
+        raise SolveError(f"{solver.__name__} did not converge: residual "
+                         f"{res:.3e} > tol {opts.tol:g} after {len(steps)} "
+                         f"steps", report)
+    return u, report
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,9 @@ def _digest(a: CoefficientField):
 
 def _memoized(key, fields, solve):
     """The read-only result of ``solve()``, ``fields`` grid fields, shared
-    under ``key``; a repeat returns the bit-identical array.  ``solve``
-    raises unless it converged, so only converged solves are stored."""
+    under ``key``; a repeat returns the bit-identical array.  An
+    unconverged solve raises ``SolveError`` before anything is stored, so
+    only converged solves are."""
     if key in _memo:
         _memo.move_to_end(key)
         return _memo[key][1]
@@ -126,9 +127,7 @@ def _cell_responses(a: CoefficientField, cell, opts, digest):
         for k in range(d):
             g = np.zeros((d,) + a.grid.shape)
             g[(k,) + cell] = -1.0
-            w[k], rep = solve_divform(op, g, opts)
-            if not rep.converged:
-                raise RuntimeError(f"cell response solve failed: {rep}")
+            w[k] = solve_divform(op, g, opts)[0]
         return w
 
     return _memoized(digest + ("cell", cell, opts), a.grid.d, solve)
@@ -181,8 +180,7 @@ def malliavin_derivative(a: CoefficientField, spec: FunctionalSpec,
     w[i] += 1.0
     at = a.transpose()
     if spec.kind == "phi":
-        vt, rep = solve_divform_rhs(at, div(spec.g), opts)
-        left = grad(vt)
+        left = grad(solve_divform_rhs(at, div(spec.g), opts)[0])
     else:
         j, k = spec.pair
         vb = poisson_solve(div(spec.g))
@@ -190,10 +188,7 @@ def malliavin_derivative(a: CoefficientField, spec: FunctionalSpec,
         m[k] = _pdiff(vb, j, False)
         m[j] = -_pdiff(vb, k, False)
         atm = np.einsum("pq...,q...->p...", at.a, m)
-        vh, rep = solve_divform_rhs(at, div(atm), opts)
-        left = m + grad(vh)
-    if not rep.converged:
-        raise RuntimeError(f"adjoint solve failed: {rep}")
+        left = m + grad(solve_divform_rhs(at, div(atm), opts)[0])
     deriv = np.einsum("p...,q...->pq...", left, w)
     return DerivativeField(deriv, _value(a, spec, phi), opts, digest)
 

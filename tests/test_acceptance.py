@@ -217,7 +217,7 @@ def test_criterion_09_excess_decay():
     slopes = []
     rng = np.random.default_rng(47)
     for _ in range(4):
-        rows, _ = excess_decay_experiment(
+        rows = excess_decay_experiment(
             corr0, R=32.0, r_list=[4.0, 8.0, 16.0], rng=rng,
             opts=SolveOptions(tol=1e-11))
         slopes.append(fit_power_law([(row.radius, row.excess)

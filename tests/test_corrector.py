@@ -14,7 +14,7 @@ from homlab.corrector import (CorrectorSet, SkewField, build_corrector_set,
                               compute_corrector, extended_rows,
                               extended_spectra, save_corrector_set,
                               sigma_component)
-from homlab.elliptic import SolveOptions
+from homlab.elliptic import SolveError, SolveOptions
 from homlab.diagnostics import growth_profile
 from homlab.lattice import (GridSpec, div, grad, load_field,
                             mean_ball_variance, poisson_solve)
@@ -107,6 +107,16 @@ class TestCorrector:
         a.a[0, 0, 5, 7] = np.nan
         with pytest.raises(RuntimeError, match="not finite"):
             compute_corrector(a, SolveOptions(max_iter=50))
+
+    def test_unconverged_solve_raises(self):
+        # the solve itself raises, with its report; compute_corrector has
+        # no check of its own
+        a = _random_field(1)
+        with pytest.raises(SolveError) as exc:
+            compute_corrector(a, SolveOptions(max_iter=2))
+        rep = exc.value.report
+        assert (rep.iterations, rep.converged) == (2, False)
+        assert rep.residual > SolveOptions().tol
 
     def test_constant_coefficients_zero(self):
         a = constant_coefficients(GRID, 0.7 * np.eye(2))

@@ -3,8 +3,9 @@ import pytest
 from scipy.sparse.linalg import bicgstab, cg, spsolve
 
 from homlab import elliptic
-from homlab.elliptic import (SolveOptions, _ball_box, solve_dirichlet_ball,
-                             solve_divform, solve_divform_rhs)
+from homlab.elliptic import (SolveError, SolveOptions, _ball_box,
+                             solve_dirichlet_ball, solve_divform,
+                             solve_divform_rhs)
 from homlab.kernels import divform_apply
 from homlab.lattice import Ball, GridSpec, ball_mask, div, grad, poisson_solve
 from homlab.randomfield import (CoefficientField, CoefficientModel,
@@ -62,6 +63,13 @@ class TestOptions:
             SolveOptions(tol=1e-2)
         with pytest.raises(ValueError):
             SolveOptions(max_iter=0)
+        # 2.5 would reach scipy and die there with TypeError; True would
+        # run one step
+        with pytest.raises(ValueError, match="integer"):
+            SolveOptions(max_iter=2.5)
+        with pytest.raises(ValueError, match="integer"):
+            SolveOptions(max_iter=True)
+        assert SolveOptions(max_iter=np.int64(5)).max_iter == 5
 
 
 class TestDivform:
@@ -118,20 +126,27 @@ class TestDivform:
     def test_iteration_cap_reported(self, nu):
         a = _random_field(4, nu=nu)
         g = np.random.default_rng(4).standard_normal((2,) + GRID.shape)
-        _, rep = solve_divform(a, g, SolveOptions(tol=1e-10, max_iter=2))
+        with pytest.raises(SolveError) as exc:
+            solve_divform(a, g, SolveOptions(tol=1e-10, max_iter=2))
+        rep = exc.value.report
         assert not rep.converged
         assert rep.iterations == 2
+        assert isinstance(exc.value, RuntimeError)
+        assert str(exc.value) == (
+            f"{'cg' if nu == 0.0 else 'bicgstab'} did not converge: "
+            f"residual {rep.residual:.3e} > tol 1e-10 after 2 steps")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_coefficient_stops_the_krylov_solve(self, bad):
         # a[0, 1] is not read by div(a e_1), so the right-hand side is
         # finite; the first non-finite iterate ends the solve, and the
-        # recomputed residual reports it (300 steps of max_iter=300 before)
+        # recomputed residual raises (300 steps of max_iter=300 before)
         grid = GridSpec(2, 16)
         a = _random_field(3, grid=grid)
         a.a[0, 1, 5, 7] = bad
-        with np.errstate(invalid="ignore"):
-            _, rep = solve_divform(a, a.a[:, 0], SolveOptions(max_iter=300))
+        with np.errstate(invalid="ignore"), pytest.raises(SolveError) as exc:
+            solve_divform(a, a.a[:, 0], SolveOptions(max_iter=300))
+        rep = exc.value.report
         assert rep.iterations <= 3
         assert rep.converged is False
 
@@ -169,11 +184,13 @@ class TestDivform:
         assert rep.residual == pytest.approx(res, rel=1e-12)
         assert rep.converged and rep.residual <= opts.tol
         # one step after the loose call, the continuation stops at the cap
-        # and the report says so
+        # and the error's report says so
         loose = calls[0][1]
         calls.clear()
         capped = SolveOptions(tol=1e-10, max_iter=loose + 1)
-        _, rep = solve_divform(a, g, capped)
+        with pytest.raises(SolveError) as exc:
+            solve_divform(a, g, capped)
+        rep = exc.value.report
         assert [x0 for x0, _ in calls] == [False, True]
         assert rep.iterations == capped.max_iter
         assert not rep.converged and rep.residual > capped.tol

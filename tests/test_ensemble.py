@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from homlab import diagnostics, ensemble, kernels, lattice
-from homlab.elliptic import SolveReport
+from homlab.elliptic import SolveError, SolveOptions
 from homlab.ensemble import (ExperimentPlan, fit_linear, fit_power_law,
                              fit_tail, records_to_csv, run_ensemble,
                              sample_coefficients, summarize)
@@ -46,7 +46,9 @@ class TestPlan:
         dict(gamma=np.nan), dict(gamma=np.inf), dict(nu=np.nan),
         # repeated record labels: f"{r:g}" reads 2.0000001 as 2
         dict(radii=(2.0, 2.0)), dict(radii=(2.0, 2.0000001)),
-        dict(grids=(16, 16)), dict(deltas=(0.1, 0.1))])
+        dict(grids=(16, 16)), dict(deltas=(0.1, 0.1)),
+        # through plan.opts(): not an integer, or a bool
+        dict(max_iter=2.5), dict(max_iter=True)])
     def test_config_values_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             ExperimentPlan(**dict(dict(kind="scaling", n=32), **bad))
@@ -230,6 +232,24 @@ class TestRunEnsemble:
         out = summarize(plan, recs)
         assert out["fits"]["0.0625"]["degenerate"]
 
+    @pytest.mark.parametrize("kind", ["scaling", "growth"])
+    def test_grid_16_default_radii_summarize(self, kind):
+        # with the single radius 2, every realization would run and then
+        # the fit would have one point
+        plan = ExperimentPlan(kind=kind, n=16, m=3, master_seed=1)
+        assert plan.effective_radii().tolist() == [1.0, 2.0]
+        out = summarize(plan, run_ensemble(plan))
+        assert out["radii"] == [1.0, 2.0] and out["failures"] == 0
+        fitted = out["slope"] if kind == "scaling" else out["loglinear_slope"]
+        assert np.isfinite(fitted)
+
+    @pytest.mark.parametrize("n, want", [(32, [2.0, 4.0]),
+                                         (64, [4.0, 8.0]),
+                                         (128, [8.0, 16.0])])
+    def test_default_radii_from_grid_32(self, n, want):
+        plan = ExperimentPlan(kind="scaling", n=n)
+        assert plan.effective_radii().tolist() == want
+
     def test_growth_summary(self):
         plan = ExperimentPlan(kind="growth", n=32, m=2, master_seed=1)
         out = summarize(plan, run_ensemble(plan))
@@ -244,14 +264,51 @@ class TestRunEnsemble:
         assert out["errors"][1] < out["errors"][0]
 
     def test_unconverged_ball_solve_fails_realization(self, monkeypatch):
+        real = diagnostics.solve_dirichlet_ball
+
         def unconverged(a, ball, boundary, opts=None):
-            return boundary.copy(), SolveReport(opts.max_iter, 0.5, False)
+            return real(a, ball, boundary, SolveOptions(max_iter=1))
 
         monkeypatch.setattr(diagnostics, "solve_dirichlet_ball", unconverged)
         plan = ExperimentPlan(kind="excess", n=32, m=2, master_seed=0,
                               constant_model=True)
-        with pytest.raises(RuntimeError, match="Dirichlet-ball solve failed"):
+        with pytest.raises(SolveError) as exc:
+            ensemble._run_excess(plan, 0)
+        rep = exc.value.report
+        assert (rep.iterations, rep.converged) == (1, False)
+        assert rep.residual > plan.tol
+        with pytest.raises(RuntimeError, match="2/2 realizations failed; "
+                           "first error: cg did not converge"):
             run_ensemble(plan)
+
+    @pytest.mark.parametrize("kind, module, name, plan", [
+        ("excess", diagnostics, "solve_dirichlet_ball",
+         dict(n=32, constant_model=True)),
+        ("twoscale", ensemble, "solve_divform_rhs",
+         dict(n=16, grids=(16, 32)))], ids=["excess", "twoscale"])
+    def test_unconverged_solve_recorded_as_failed(self, monkeypatch, kind,
+                                                  module, name, plan):
+        # the first realization's ball (excess) or heterogeneous torus
+        # (twoscale) solve stops after one step: that realization alone is
+        # recorded as failed, with the solver's message; a = c Id would
+        # make the torus preconditioner exact, so twoscale samples a field
+        real, calls = getattr(module, name), []
+
+        def first_capped(*args):
+            calls.append(None)
+            if len(calls) == 1:
+                args = args[:-1] + (SolveOptions(max_iter=1),)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, first_capped)
+        plan = ExperimentPlan(kind=kind, m=10, master_seed=0, **plan)
+        recs = run_ensemble(plan)
+        assert [rec.failed for rec in recs] == [True] + [False] * 9
+        assert recs[0].error.startswith("cg did not converge: residual ")
+        assert recs[0].error.endswith(" after 1 steps")
+        # one solve per realization and grid; the failed one stops at its
+        # first grid
+        assert len(calls) == (10 if kind == "excess" else 19)
 
     def test_excess_realization_records(self):
         plan = ExperimentPlan(kind="excess", n=32, m=2, master_seed=0,

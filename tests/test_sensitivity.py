@@ -5,7 +5,7 @@ import homlab.corrector
 import homlab.kernels
 import homlab.sensitivity
 from homlab.corrector import build_corrector_set, compute_corrector
-from homlab.elliptic import SolveOptions
+from homlab.elliptic import SolveError, SolveOptions
 from homlab.lattice import GridSpec, grad
 from homlab.partition import lattice_partition_labels
 from homlab.randomfield import (CoefficientField, CoefficientModel,
@@ -106,6 +106,43 @@ class TestDigest:
             a, (5, 9), OPTS, homlab.sensitivity._digest(a))
         assert w.shape == (2,) + GRID.shape
         assert sorted(calls) == ["coupled_columns", "is_symmetric"]
+
+
+class TestUnconverged:
+    """A solve of the sensitivity layer that stops above tol raises
+    SolveError; the layer has no check of its own."""
+
+    CAPPED = SolveOptions(tol=OPTS.tol, max_iter=1)
+
+    @pytest.mark.parametrize("kind", ["phi", "sigma"])
+    def test_adjoint_solve_raises(self, monkeypatch, kind):
+        real = homlab.sensitivity.solve_divform_rhs
+        monkeypatch.setattr(homlab.sensitivity, "solve_divform_rhs",
+                            lambda at, rhs, opts: real(at, rhs, self.CAPPED))
+        with pytest.raises(SolveError) as exc:
+            malliavin_derivative(_field(5), FunctionalSpec(kind, _weight(5)),
+                                 OPTS)
+        rep = exc.value.report
+        assert (rep.iterations, rep.converged) == (1, False)
+        assert rep.residual > OPTS.tol
+
+    def test_cell_response_solve_raises_and_stores_nothing(self,
+                                                          monkeypatch):
+        a = _field(5)
+        spec = FunctionalSpec("phi", _weight(5))
+        deriv = malliavin_derivative(a, spec, OPTS)
+        real = homlab.sensitivity.solve_divform
+        monkeypatch.setattr(homlab.sensitivity, "solve_divform",
+                            lambda op, g, opts: real(op, g, self.CAPPED))
+        with pytest.raises(SolveError) as exc:
+            fd_check(a, spec, (5, 9), np.eye(2), None, OPTS, deriv)
+        rep = exc.value.report
+        assert (rep.iterations, rep.converged) == (1, False)
+        # only the corrector is stored, and a later check solves afresh
+        assert [key[3] for key in homlab.sensitivity._memo] == ["phi"]
+        monkeypatch.undo()
+        err, _, _ = fd_check(a, spec, (5, 9), np.eye(2), None, OPTS, deriv)
+        assert err < 1e-4
 
 
 class TestSpec:
