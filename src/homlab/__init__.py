@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .corrector import (CorrectorSet, SkewField, build_corrector_set,
                         compute_corrector, save_corrector_set)
-from .diagnostics import (DegenerateGramError, ExcessReport, GrowthProfile,
+from .diagnostics import (DegenerateGramError, ExcessReport,
                           MinimalRadiusReport, excess, excess_decay_experiment,
                           growth_profile, minimal_radius)
 from .elliptic import (SolveError, SolveOptions, SolveReport,

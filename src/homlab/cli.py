@@ -16,7 +16,7 @@ import scipy
 
 from . import __version__
 from .corrector import build_corrector_set, save_corrector_set
-from .diagnostics import growth_profile, minimal_radius
+from .diagnostics import growth_profile, minimal_radius, regime_reference
 from .ensemble import (KINDS, ExperimentPlan, records_to_csv, run_ensemble,
                        sample_coefficients, summarize)
 from .lattice import Ball, ball_mask, save_field
@@ -185,17 +185,19 @@ def cmd_diagnose(cfg, outdir):
     plan = _plan_from_config(cfg, "growth")
     a = sample_coefficients(plan, 0)
     corr = build_corrector_set(a, plan.opts())
-    prof = growth_profile(corr, plan.effective_radii(), plan.beta_eff)
-    rep = minimal_radius(corr, plan.delta)
+    radii = plan.effective_radii()
+    values = growth_profile(corr, radii)
+    reference, regime = regime_reference(plan.d, plan.beta_eff, radii)
+    r_star = minimal_radius(corr).r_star(plan.delta)
     lines = ["radius,V,reference"]
-    for r, v, g in zip(prof.radii, prof.values, prof.reference):
+    for r, v, g in zip(radii, values, reference):
         lines.append(",".join(repr(float(x)) for x in (r, v, g)))
     _write_text(os.path.join(outdir, "growth.csv"), "\n".join(lines) + "\n")
     payload = {
         "schema": 1,
-        "r_star": rep.r_star if np.isfinite(rep.r_star) else "inf",
-        "delta": rep.delta,
-        "regime": prof.regime,
+        "r_star": r_star if np.isfinite(r_star) else "inf",
+        "delta": plan.delta,
+        "regime": regime,
         "a_hom": corr.a_hom.tolist(),
     }
     _write_json(os.path.join(outdir, "diagnostics.json"), payload)

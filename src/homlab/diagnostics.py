@@ -1,6 +1,6 @@
 """Large-scale regularity functionals: excess, non-degeneracy, the minimal
-radius and growth profiles.  The excess-decay table is returned unfitted;
-``ensemble.fit_power_law`` fits its exponent."""
+radius and growth profiles, each returned as measured for its caller to
+threshold (``MinimalRadiusReport.r_star``) or fit (``fit_power_law``)."""
 
 from dataclasses import dataclass
 
@@ -14,7 +14,6 @@ from .lattice import (Ball, GridSpec, _grad_at, _offsets, ball_mask, grad,
 __all__ = [
     "ExcessReport",
     "MinimalRadiusReport",
-    "GrowthProfile",
     "DegenerateGramError",
     "excess",
     "minimal_radius",
@@ -44,18 +43,17 @@ class ExcessReport:
 
 @dataclass
 class MinimalRadiusReport:
-    r_star: float          # dyadic, or inf sentinel
-    delta: float
-    radii: np.ndarray
+    radii: np.ndarray      # dyadic, in [1, L/8]
     values: np.ndarray     # (1/R^2) * centered ball variance of (phi, sigma)
 
-
-@dataclass
-class GrowthProfile:
-    radii: np.ndarray
-    values: np.ndarray     # centered ball variance, averaged over centers
-    reference: np.ndarray  # regime curve mu^2_{d, beta}
-    regime: str
+    def r_star(self, delta):
+        """The smallest dyadic r whose whole dyadic tail has ``values`` <=
+        delta; inf sentinel if none."""
+        if not delta > 0:  # raises for nan too
+            raise ValueError(f"delta must be positive, got {delta}")
+        tail_ok = np.logical_and.accumulate((self.values <= delta)[::-1])[::-1]
+        hits = np.nonzero(tail_ok)[0]
+        return float(self.radii[hits[0]]) if hits.size else np.inf
 
 
 def dyadic_radii(grid: GridSpec, lo=1.0):
@@ -98,10 +96,11 @@ def excess(grad_u, corr: CorrectorSet, ball: Ball):
     return ExcessReport(ball.radius, max(exc, 0.0), xi, gram)
 
 
-def _ball_variances(corr: CorrectorSet, center):
-    """The dyadic radii R in [1, L/8] and, per R, (1/R^2) times the sum
-    over the rows of ``extended_rows`` of their variance on B_R(center):
-    the rows are made once, and each ball's mask once."""
+def minimal_radius(corr: CorrectorSet, center=None):
+    """Per dyadic R in [1, L/8], (1/R^2) fint_{B_R(center)} |(phi, sigma) -
+    mean|^2 (center defaults to the origin), to be thresholded by ``r_star``:
+    the rows of ``extended_rows`` are made once, and each ball's mask once."""
+    center = tuple(center) if center is not None else (0.0,) * corr.a.grid.d
     radii = dyadic_radii(corr.a.grid)
     masks = [ball_mask(corr.a.grid, Ball(center, r)) for r in radii]
     vals = np.zeros(len(radii))
@@ -109,25 +108,7 @@ def _ball_variances(corr: CorrectorSet, center):
         for m, mask in enumerate(masks):
             inside = row[mask]
             vals[m] += np.mean(inside**2) - np.mean(inside)**2
-    return radii, vals / radii**2
-
-
-def _smallest_radius(radii, vals, delta):
-    """The report of the smallest dyadic r whose whole dyadic tail has
-    ``vals`` <= delta; inf sentinel if none."""
-    if not delta > 0:  # raises for nan too
-        raise ValueError(f"delta must be positive, got {delta}")
-    tail_ok = np.logical_and.accumulate((vals <= delta)[::-1])[::-1]
-    hits = np.nonzero(tail_ok)[0]
-    r_star = float(radii[hits[0]]) if hits.size else np.inf
-    return MinimalRadiusReport(r_star, float(delta), radii, vals)
-
-
-def minimal_radius(corr: CorrectorSet, delta, center=None):
-    """Smallest dyadic r with (1/R^2) fint_{B_R} |(phi, sigma) - mean|^2
-    <= delta for every dyadic R in [r, L/8]; inf sentinel if none."""
-    center = tuple(center) if center is not None else (0.0,) * corr.a.grid.d
-    return _smallest_radius(*_ball_variances(corr, center), delta)
+    return MinimalRadiusReport(radii, vals / radii**2)
 
 
 def harmonic_quadratic(a_hom, grid: GridSpec, center, rng):
@@ -174,15 +155,13 @@ def regime_reference(d, beta, radii):
     return radii ** (d * (beta - 1.0 + 2.0 / d)), "growing"
 
 
-def growth_profile(corr: CorrectorSet, radii, beta=0.0):
-    """Centered ball variance of (phi, sigma) as a function of R, averaged
-    over all torus centers (by Parseval, so every center contributes), from
-    the rows' rfft half spectra, as ``extended_spectra`` yields them."""
+def growth_profile(corr: CorrectorSet, radii):
+    """V(R), the centered ball variance of (phi, sigma), averaged over all
+    torus centers (by Parseval, so every center contributes), from the rows'
+    rfft half spectra, as ``extended_spectra`` yields them."""
     grid = corr.a.grid
     radii = np.asarray(radii, dtype=np.float64)
     if not np.all((radii >= 0.5) & (radii <= grid.n / 8)):  # nan fails too
         raise ValueError(f"growth radii must lie in [0.5, L/8 = "
                          f"{grid.n / 8}], got {radii.tolist()}")
-    vals = mean_ball_variance(extended_spectra(corr), radii, grid)
-    ref, regime = regime_reference(grid.d, beta, radii)
-    return GrowthProfile(radii, vals, ref, regime)
+    return mean_ball_variance(extended_spectra(corr), radii, grid)

@@ -9,9 +9,8 @@ import numpy as np
 from scipy.fft import fftfreq, rfftfreq
 
 from .corrector import build_corrector_set, compute_corrector, extended_rows
-from .diagnostics import (_ball_variances, _smallest_radius, dyadic_radii,
-                          excess_decay_experiment, growth_profile,
-                          minimal_radius)
+from .diagnostics import (dyadic_radii, excess_decay_experiment,
+                          growth_profile, minimal_radius)
 from .elliptic import SolveOptions, solve_divform_rhs
 from .lattice import (Ball, GridSpec, _pdiff, _spectral_multiply,
                       ball_average, grad)
@@ -133,16 +132,16 @@ def _run_scaling(plan, index):
 def _run_growth(plan, index):
     a = sample_coefficients(plan, index)
     corr = build_corrector_set(a, plan.opts())  # a_hom is never made here
-    prof = growth_profile(corr, plan.effective_radii(), plan.beta_eff)
-    return {f"V_r{r:g}": v for r, v in zip(prof.radii, prof.values)}
+    radii = plan.effective_radii()
+    return {f"V_r{r:g}": v for r, v in zip(radii, growth_profile(corr, radii))}
 
 
 def _run_tail(plan, index):
     a = sample_coefficients(plan, index)
     corr = build_corrector_set(a, plan.opts())
     # the rows are made once, and the profile thresholded per delta
-    profile = _ball_variances(corr, (0.0,) * plan.d)
-    return {f"rstar_d{delta:g}": _smallest_radius(*profile, delta).r_star
+    rep = minimal_radius(corr)
+    return {f"rstar_d{delta:g}": rep.r_star(delta)
             for delta in plan.deltas or (plan.delta,)}
 
 
@@ -181,7 +180,7 @@ def _run_twoscale(plan, index):
 def _run_excess(plan, index):
     a = sample_coefficients(plan, index)
     corr = build_corrector_set(a, plan.opts())
-    r_star = minimal_radius(corr, plan.delta).r_star
+    r_star = minimal_radius(corr).r_star(plan.delta)
     if not np.isfinite(r_star):
         raise RuntimeError("minimal radius sentinel: no admissible scale")
     grid = plan.grid()

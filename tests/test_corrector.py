@@ -384,7 +384,7 @@ class TestExtended:
         comps = _stacked(corr.phi, corr.sigma)
         radii = (1.0, 2.0, 4.0)
         want = mean_ball_variance([rfftn(c) for c in comps], radii, GRID)
-        got = growth_profile(corr, radii).values
+        got = growth_profile(corr, radii)
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 16)])

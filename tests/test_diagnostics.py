@@ -109,7 +109,7 @@ class TestBallMaskedOnce:
     def test_minimal_radius_matches_ball_masks(self, d):
         a, corr = _corr(6) if d == 2 else _corr3d(6)
         for center in ((0.0,) * d, (5.5,) + (-3.0,) * (d - 1)):
-            rep = minimal_radius(corr, 0.05, center)
+            rep = minimal_radius(corr, center)
             assert np.array_equal(rep.values,
                                   _minimal_radius_values(corr, center))
 
@@ -164,37 +164,37 @@ class TestMinimalRadius:
     def test_constant_coefficients_smallest(self):
         a = constant_coefficients(GRID)
         corr = build_corrector_set(a, OPTS)
-        rep = minimal_radius(corr, 1.0 / 16.0)
-        assert rep.r_star == 1.0
+        rep = minimal_radius(corr)
+        assert rep.r_star(1.0 / 16.0) == 1.0
 
     def test_sentinel_for_tiny_delta(self):
         a, corr = _corr(4)
-        rep = minimal_radius(corr, 1e-12)
-        assert np.isinf(rep.r_star)
+        rep = minimal_radius(corr)
+        assert np.isinf(rep.r_star(1e-12))
 
     def test_monotone_in_delta(self):
         a, corr = _corr(4)
-        r_small = minimal_radius(corr, 1.0 / 64.0).r_star
-        r_big = minimal_radius(corr, 1.0).r_star
+        r_small = minimal_radius(corr).r_star(1.0 / 64.0)
+        r_big = minimal_radius(corr).r_star(1.0)
         assert r_big <= r_small
 
     def test_delta_validation(self):
         a, corr = _corr(4)
         with pytest.raises(ValueError):
-            minimal_radius(corr, 0.0)
+            minimal_radius(corr).r_star(0.0)
 
     def test_nan_delta_rejected(self):
         # nan fails every comparison: unchecked, it gives the inf sentinel
         a, corr = _corr(4)
         with pytest.raises(ValueError, match="positive"):
-            minimal_radius(corr, np.nan)
+            minimal_radius(corr).r_star(np.nan)
 
     @pytest.mark.parametrize("center", [(np.nan, 0.0), (np.inf, 0.0)])
     def test_non_finite_center_rejected(self, center):
         # unchecked, it gives the inf sentinel: "no admissible scale"
         a, corr = _corr(4)
         with pytest.raises(ValueError, match="not finite"):
-            minimal_radius(corr, 1.0 / 16.0, center)
+            minimal_radius(corr, center)
 
     def test_rows_are_streamed_not_stacked(self):
         # the rows of (phi, sigma) are made and read one at a time; a
@@ -204,11 +204,11 @@ class TestMinimalRadius:
         g = sample_gaussian(CovarianceSpec(3.5, 0.0), grid, SeedSpec(8, 0))
         a = to_coefficients(g, CoefficientModel(0.25, 0.0), None, grid)
         corr = build_corrector_set(a, OPTS)
-        minimal_radius(corr, 0.05)  # caches its multiplier untraced
+        minimal_radius(corr)  # caches its multiplier untraced
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            minimal_radius(corr, 0.05)
+            minimal_radius(corr)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -260,9 +260,10 @@ class TestGrowth:
 
     def test_profile_monotone(self):
         a, corr = _corr(6)
-        prof = growth_profile(corr, [2.0, 4.0, 8.0], beta=0.0)
-        assert prof.regime == "critical"
-        assert np.all(np.diff(prof.values) > 0.0)  # variance grows with R
+        radii = [2.0, 4.0, 8.0]
+        values = growth_profile(corr, radii)
+        assert regime_reference(corr.a.grid.d, 0.0, radii)[1] == "critical"
+        assert np.all(np.diff(values) > 0.0)  # variance grows with R
 
     @pytest.mark.parametrize("d, n", [(2, 64), (3, 32)])
     def test_matches_ball_mean_reference(self, d, n):
@@ -273,18 +274,18 @@ class TestGrowth:
         corr = build_corrector_set(a, OPTS)
         radii = [1.0, 2.0, n / 8]
         comps = list(extended_rows(corr))
-        got = growth_profile(corr, radii).values
+        got = growth_profile(corr, radii)
         want = _growth_by_ball_means(corr, radii)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         # a single-cell ball has no variance
         total = sum(float(np.mean(c**2)) for c in comps)
-        single = growth_profile(corr, [0.5]).values[0]
+        single = growth_profile(corr, [0.5])[0]
         assert abs(single) <= 1e-12 * total
 
     def test_radius_cap(self):
         a, corr = _corr(6)
         with pytest.raises(ValueError):
-            growth_profile(corr, [32.0], beta=0.0)
+            growth_profile(corr, [32.0])
 
     @pytest.mark.parametrize("radius", [np.nan, -2.0, 0.25])
     def test_nan_or_small_radius_rejected(self, radius):

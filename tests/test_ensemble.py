@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from homlab import diagnostics, ensemble, kernels, lattice
+from homlab.corrector import build_corrector_set
 from homlab.elliptic import SolveError, SolveOptions
 from homlab.ensemble import (ExperimentPlan, fit_linear, fit_power_law,
                              fit_tail, records_to_csv, run_ensemble,
@@ -118,6 +119,46 @@ class TestGrowthMemory:
         assert sorted(vals) == ["rstar_d0.03125", "rstar_d0.0625",
                                 "rstar_d0.125"]
         assert len(calls) == d * d * (d - 1) // 2
+
+
+    def test_tail_measures_the_ball_variances_once(self, monkeypatch):
+        # one minimal_radius report, thresholded once per delta
+        real = diagnostics.minimal_radius
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("homlab")
+                    and getattr(mod, "minimal_radius", None) is real):
+                monkeypatch.setattr(mod, "minimal_radius", counted)
+        plan = ExperimentPlan(kind="tail", n=32, m=2,
+                              deltas=(1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0))
+        vals = ensemble._run_tail(plan, 0)
+        assert len(vals) == 3 and len(calls) == 1
+        rep = real(build_corrector_set(sample_coefficients(plan, 0),
+                                       plan.opts()))
+        assert vals == {f"rstar_d{delta:g}": rep.r_star(delta)
+                        for delta in plan.deltas}
+
+    def test_growth_reads_no_regime_reference(self, monkeypatch):
+        # the growth records hold V(R) alone: no reference curve is made
+        real = diagnostics.regime_reference
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("homlab")
+                    and getattr(mod, "regime_reference", None) is real):
+                monkeypatch.setattr(mod, "regime_reference", spy)
+        plan = ExperimentPlan(kind="growth", n=32, m=2, radii=(2.0, 4.0))
+        vals = ensemble._run_growth(plan, 0)
+        assert sorted(vals) == ["V_r2", "V_r4"] and not calls
 
 
 class TestFits:
