@@ -206,7 +206,7 @@ def cmd_diagnose(cfg, outdir):
 
 def cmd_experiment(cfg, outdir, kind):
     plan = _plan_from_config(cfg, kind)
-    records = run_ensemble(plan)
+    records = _configured(run_ensemble, plan)  # its ValueError is the plan's
     _write_text(os.path.join(outdir, "records.csv"), records_to_csv(records))
     summary = summarize(plan, records)
     _write_json(os.path.join(outdir, "fits.json"), summary)

@@ -51,6 +51,10 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        for name in ("m", "master_seed"):  # d and n: GridSpec checks them
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {x!r}")
         if self.m < 2:
             raise ValueError("need at least 2 realizations")
         grid = GridSpec(self.d, self.n)
@@ -245,7 +249,13 @@ def run_ensemble(plan: ExperimentPlan, progress=None):
     failures of a realization (RuntimeError, ValueError including
     LinAlgError, ArithmeticError) are recorded, and the run fails if more
     than 10% of realizations fail; any other exception is a programming
-    error and propagates."""
+    error and propagates.  A scaling or growth plan with fewer than two
+    radii, which ``summarize`` could not fit, raises ValueError before the
+    first realization."""
+    radii = plan.effective_radii()
+    if plan.kind in ("scaling", "growth") and len(radii) < 2:
+        raise ValueError(f"{plan.kind} fits a slope over at least 2 radii, "
+                         f"got {radii.tolist()}")
     runner = _RUNNERS[plan.kind]
     records = []
     for index in range(plan.m):

@@ -42,6 +42,9 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
+        for name, x in (("dimension", self.d), ("grid size", self.n)):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {x!r}")
         if self.d not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.d}")
         if self.n < 8:

@@ -101,6 +101,30 @@ class TestExitCodes:
         assert "two grids" in manifest["error"]
         assert not (out / "records.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["scaling", "growth"])
+    @pytest.mark.parametrize("text", ["grid = 8\n",
+                                      "grid = 32\nradii = 4\n"])
+    def test_one_radius_is_config_error(self, tmp_path, kind, text):
+        # checked before any realization runs: a one-point fit used to fail
+        # with exit 3 after records.csv was written
+        cfg = _write(tmp_path, text + "realizations = 2\n")
+        out = tmp_path / "out"
+        code = main(["--config", cfg, "--out", str(out), "experiment", kind])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "at least 2 radii" in manifest["error"]
+        assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "corrector", "diagnose"])
+    def test_grid_8_commands_fit_nothing(self, tmp_path, command):
+        # these build scaling or growth plans but need no two radii
+        cfg = _write(tmp_path, "grid = 8\nrealizations = 2\n")
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), command]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+
     @pytest.mark.parametrize("text, command", [
         ("grid = 32\nradii = 9\nrealizations = 2\n", ["experiment", "excess"]),
         ("grid = 32\nradii = 0.25\n", ["sample"]),

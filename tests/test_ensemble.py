@@ -49,10 +49,19 @@ class TestPlan:
         dict(radii=(2.0, 2.0)), dict(radii=(2.0, 2.0000001)),
         dict(grids=(16, 16)), dict(deltas=(0.1, 0.1)),
         # through plan.opts(): not an integer, or a bool
-        dict(max_iter=2.5), dict(max_iter=True)])
+        dict(max_iter=2.5), dict(max_iter=True),
+        # sizes and the seed: not an integer, or a bool; a float used to
+        # end in a TypeError, and master_seed=1.5 to run on the key "1.5"
+        dict(m=2.5), dict(n=32.0), dict(d=2.0), dict(master_seed=1.5),
+        dict(m=True), dict(master_seed=False), dict(grids=(16, 32.0))])
     def test_config_values_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             ExperimentPlan(**dict(dict(kind="scaling", n=32), **bad))
+
+    def test_numpy_integer_sizes_accepted(self):
+        plan = ExperimentPlan(kind="scaling", d=np.int64(2), n=np.int64(32),
+                              m=np.int64(2), master_seed=np.int64(3))
+        assert plan.grid().shape == (32, 32)
 
     def test_constant_model_ignores_field_parameters(self):
         ExperimentPlan(kind="scaling", n=32, gamma=1.5, constant_model=True)
@@ -283,6 +292,27 @@ class TestRunEnsemble:
         assert out["radii"] == [1.0, 2.0] and out["failures"] == 0
         fitted = out["slope"] if kind == "scaling" else out["loglinear_slope"]
         assert np.isfinite(fitted)
+
+    @pytest.mark.parametrize("kind", ["scaling", "growth"])
+    @pytest.mark.parametrize("n, radii", [(8, ()), (14, ()), (32, (4.0,))])
+    def test_one_radius_rejected_before_any_realization(
+            self, monkeypatch, kind, n, radii):
+        # grids 8 to 14 give the one default radius 1; a slope needs two
+        plan = ExperimentPlan(kind=kind, n=n, m=2, radii=radii)
+        assert len(plan.effective_radii()) == 1
+
+        def sampled(*args):
+            raise AssertionError("a realization ran")
+
+        monkeypatch.setattr(ensemble, "sample_coefficients", sampled)
+        with pytest.raises(ValueError, match="at least 2 radii"):
+            run_ensemble(plan)
+
+    @pytest.mark.parametrize("kind", ["tail", "excess", "twoscale"])
+    def test_other_kinds_need_no_two_radii(self, monkeypatch, kind):
+        plan = ExperimentPlan(kind=kind, n=8, m=2, grids=(8, 16))
+        monkeypatch.setitem(ensemble._RUNNERS, kind, lambda plan, index: {})
+        assert [rec.failed for rec in run_ensemble(plan)] == [False, False]
 
     @pytest.mark.parametrize("n, want", [(32, [2.0, 4.0]),
                                          (64, [4.0, 8.0]),

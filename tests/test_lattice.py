@@ -25,6 +25,16 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(d, n)
 
+    @pytest.mark.parametrize("d,n", [(2, 32.0), (2.0, 32), (True, 32),
+                                     (2, np.float64(32.0))])
+    def test_non_integer_sizes_rejected(self, d, n):
+        # 32.0 used to give the shape (32.0, 32.0)
+        with pytest.raises(ValueError, match="integer"):
+            GridSpec(d, n)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert GridSpec(np.int64(2), np.int32(32)).shape == (32, 32)
+
     def test_non_power_of_two_even_ok(self):
         assert GridSpec(3, 96).shape == (96, 96, 96)
 
