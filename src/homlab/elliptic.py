@@ -7,16 +7,20 @@ its BiCGStab for non-symmetric ones.  A torus solve, on a field or on the
 preconditioner is the sandwich K^-1 (-div(b grad .)) K^-1, K = -lap by FFT
 and b = diag(1/a_ii): symmetric positive definite on mean-zero fields, and
 the exact inverse for a = c Id and for a laminate's corrector in the
-layered direction.  A Dirichlet-ball problem is solved on its cropped box,
-by CG if the box's coefficients are symmetric, preconditioned by the
-inverse of ``c0 (-lap)`` by DST-I, c0 the mean diagonal.  The dispatch owns
-the one epilogue: a non-finite rhs raises, a zero rhs is finished at x = 0
-after 0 steps (ball data the interior stencil never reads give 0 inside),
-and the residual, recomputed from scratch by each problem's ``finish``, is
-relative to |rhs|.  scipy stops at tol; a recomputed residual above it,
-with a finite iterate and steps left, continues once from that iterate to
-0.1 tol.  Iterations are the Krylov steps of both calls.  A final residual
-above tol raises ``SolveError``: every report a solve returns converged.
+layered direction, both to float32 rounding.  A Dirichlet-ball problem is
+solved on its cropped box, by CG if the box's coefficients are symmetric,
+preconditioned by the inverse of ``c0 (-lap)`` by DST-I, c0 the mean
+diagonal.  Both preconditioners run in float32, taking and returning
+float64; the matvec, scipy's Krylov loop and the residual that decides
+convergence stay float64, so every solution still meets tol.  The dispatch
+owns the one epilogue: a non-finite rhs raises, a zero rhs is finished at
+x = 0 after 0 steps (ball data the interior stencil never reads give 0
+inside), and the residual, recomputed from scratch by each problem's
+``finish``, is relative to |rhs|.  scipy stops at tol; a recomputed
+residual above it, with a finite iterate and steps left, continues once
+from that iterate to 0.1 tol.  Iterations are the Krylov steps of both
+calls.  A final residual above tol raises ``SolveError``: every report a
+solve returns converged.
 """
 
 import math
@@ -132,20 +136,27 @@ class Operator:
     precond: object              # the torus preconditioner
 
 
-def operator(field: CoefficientField):
-    """The ``Operator`` of a field; its preconditioner drops the zero mode."""
+def operator(field):
+    """The ``Operator`` of a field, or ``field`` itself if it is one; its
+    preconditioner drops the zero mode and runs in float32, taking and
+    returning float64."""
+    if isinstance(field, Operator):
+        return field
     a, d = field.a, field.grid.d
-    inv = _inverse_laplacian(field.grid.shape)
+    inv = _inverse_laplacian(field.grid.shape).astype(np.float32)
     # b[i, j] broadcasts 1/a_ii, the only blocks read; equal diagonal blocks,
     # as in every sampled field, share one
     same = all(np.array_equal(a[i, i], a[0, 0]) for i in range(1, d))
-    diag = 1.0 / (a[0, 0][None] if same else np.einsum("ii...->i...", a))
+    diag = (1.0 / (a[0, 0][None] if same else np.einsum("ii...->i...", a))
+            ).astype(np.float32)
     b = np.broadcast_to(diag[:, None], (d, d) + diag.shape[1:])
     rows = tuple((i,) for i in range(d))
+    # float64 out: BiCGStab feeds it to the matvec, which keeps its dtype
     return Operator(field, kernels.coupled_columns(a),
                     cg if field.is_symmetric() else bicgstab,
                     lambda r: _spectral_multiply(kernels.divform_apply(
-                        b, _spectral_multiply(r, inv), rows), inv))
+                        b, _spectral_multiply(r.astype(np.float32), inv),
+                        rows), inv).astype(np.float64))
 
 
 def solve_divform_rhs(field, rhs, opts: SolveOptions = None,
@@ -154,7 +165,7 @@ def solve_divform_rhs(field, rhs, opts: SolveOptions = None,
     torus; ``overwrite_rhs`` subtracts the mean from ``rhs`` in place."""
     rhs = np.asarray(rhs, dtype=np.float64)
     rhs = np.subtract(rhs, rhs.mean(), out=rhs if overwrite_rhs else None)
-    op = field if isinstance(field, Operator) else operator(field)
+    op = operator(field)
 
     def matvec(u):
         return kernels.divform_apply(op.field.a, u, op.cols)
@@ -174,12 +185,15 @@ def solve_divform(field, g, opts: SolveOptions = None):
 def _dirichlet_inverse(c0, mask):
     """Inverse of c0 (-lap) on the box ``mask.shape`` with zero data on the
     cells just outside it, via DST-I, restricted to ``mask``.  The DST-I
-    symbol of a side m is the torus symbol of period 2(m+1) at k = 1..m."""
-    sym = c0 * laplacian_symbol(tuple(2 * (m + 1) for m in mask.shape))[
+    symbol of a side m is the torus symbol of period 2(m+1) at k = 1..m.
+    The transforms run in float32; float64 in and out."""
+    sym = laplacian_symbol(tuple(2 * (m + 1) for m in mask.shape))[
         tuple(slice(1, m + 1) for m in mask.shape)]
+    inv = (1.0 / (c0 * sym)).astype(np.float32)
 
     def apply(r):
-        return np.where(mask, idstn(dstn(r, type=1) / sym, type=1), 0.0)
+        u = idstn(dstn(r.astype(np.float32), type=1) * inv, type=1)
+        return np.where(mask, u.astype(np.float64), 0.0)
 
     return apply
 

@@ -1,9 +1,13 @@
 """The divergence-form stencil assembled as a sparse matrix, the independent
 construction that the matrix-free ``kernels.divform_apply`` and the solvers
-built on it are checked against."""
+built on it are checked against; and the torus preconditioner in float64,
+the reference for the float32 one that ``elliptic.operator`` builds."""
 
 import numpy as np
 import scipy.sparse as sp
+
+from homlab.kernels import divform_apply
+from homlab.lattice import _inverse_laplacian, _spectral_multiply
 
 
 def assembled_operator(a):
@@ -30,3 +34,15 @@ def assembled_operator(a):
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
                                                  np.concatenate(cols))),
                          shape=(n, n))
+
+
+def float64_sandwich(field):
+    """The torus preconditioner K^-1 (-div(b grad .)) K^-1 of ``field``,
+    K = -lap by FFT and b = diag(1/a_ii), every step in float64."""
+    a, d = field.a, field.grid.d
+    inv = _inverse_laplacian(field.grid.shape)
+    diag = 1.0 / np.einsum("ii...->i...", a)
+    b = np.broadcast_to(diag[:, None], (d, d) + diag.shape[1:])
+    rows = tuple((i,) for i in range(d))
+    return lambda r: _spectral_multiply(
+        divform_apply(b, _spectral_multiply(r, inv), rows), inv)

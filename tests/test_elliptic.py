@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import bicgstab, cg, spsolve
 
 from homlab import elliptic
@@ -7,15 +8,17 @@ from homlab.elliptic import (SolveError, SolveOptions, _ball_box,
                              solve_dirichlet_ball, solve_divform,
                              solve_divform_rhs)
 from homlab.kernels import divform_apply
-from homlab.lattice import Ball, GridSpec, ball_mask, div, grad, poisson_solve
+from homlab.lattice import (Ball, GridSpec, ball_mask, div, grad,
+                            laplacian_symbol, poisson_solve)
 from homlab.randomfield import (CoefficientField, CoefficientModel,
                                 CovarianceSpec, SeedSpec,
                                 constant_coefficients, sample_gaussian,
                                 to_coefficients)
-from stencil import assembled_operator
+from stencil import assembled_operator, float64_sandwich
 
 GRID = GridSpec(2, 32)
 OPTS = SolveOptions(tol=1e-11)
+EPS32 = float(np.finfo(np.float32).eps)
 
 
 def _random_field(seed=0, nu=0.0, grid=GRID):
@@ -45,6 +48,13 @@ def _unpreconditioned(k, rhs, symmetric, opts):
         callback=lambda xk: steps.append(None))
     assert info == 0
     return x, len(steps)
+
+
+def _float64_operator(field):
+    """``elliptic.operator(field)`` with the float64 reference sandwich."""
+    op = elliptic.operator(field)
+    return elliptic.Operator(field, op.cols, op.solver,
+                             float64_sandwich(field))
 
 
 def _recording(fn, calls):
@@ -231,33 +241,42 @@ class TestSpectralPreconditioner:
 
     @pytest.mark.parametrize("shift", [0.0, 1.0 / 8.0])
     def test_constant_coefficients_in_one_step(self, shift):
-        # a right-hand side of mean ``shift`` is solved as its zero-mean part
+        # a right-hand side of mean ``shift`` is solved as its zero-mean
+        # part; the float64 sandwich is exact for c Id: one step.  The
+        # float32 one is exact to float32 rounding (1.2e-7), above tol, so
+        # CG takes a second step (measured 2, residual 1.5e-13)
         a = constant_coefficients(GRID, 0.7 * np.eye(2))
         g = np.random.default_rng(7).standard_normal((2,) + GRID.shape)
         opts = SolveOptions(tol=1e-10)
-        u, rep = solve_divform_rhs(a, div(g) + shift, opts)
-        assert rep.converged
-        assert rep.iterations <= 1
         want, _ = solve_divform(a, g, opts)
-        assert np.max(np.abs(u - want)) <= 1e-9 * np.max(np.abs(want))
+        for op, steps in ((_float64_operator(a), 1),
+                          (elliptic.operator(a), 2)):
+            u, rep = solve_divform_rhs(op, div(g) + shift, opts)
+            assert rep.converged
+            assert rep.iterations <= steps
+            assert np.max(np.abs(u - want)) <= 1e-9 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("shift", [0.0, 1.0 / 8.0])
     @pytest.mark.parametrize("nu", [0.0, 0.2])
     def test_symmetric_positive(self, nu, shift):
-        # symmetric and positive on zero-mean inputs, blind to a constant
-        apply = elliptic.operator(_random_field(6, nu=nu)).precond
+        # symmetric and positive on zero-mean inputs, blind to a constant:
+        # to 1e-12 in float64, to float32 rounding in the operator's own
+        # (measured <= 3.6e-7)
+        field = _random_field(6, nu=nu)
         x, y = np.random.default_rng(6).standard_normal((2,) + GRID.shape)
         x -= x.mean()
         y -= y.mean()
-        ax, ay = apply(x + shift), apply(y + shift)
-        mxy, xmy = float(np.sum(ax * y)), float(np.sum(x * ay))
-        assert abs(mxy - xmy) <= 1e-12 * abs(mxy)
-        assert float(np.sum(ax * x)) > 0.0
-        assert np.max(np.abs(ax - apply(x))) <= 1e-12 * np.max(np.abs(ax))
+        for apply, tol in ((float64_sandwich(field), 1e-12),
+                           (elliptic.operator(field).precond, 16 * EPS32)):
+            ax, ay = apply(x + shift), apply(y + shift)
+            mxy, xmy = float(np.sum(ax * y)), float(np.sum(x * ay))
+            assert abs(mxy - xmy) <= tol * abs(mxy)
+            assert float(np.sum(ax * x)) > 0.0
+            assert np.max(np.abs(ax - apply(x))) <= tol * np.max(np.abs(ax))
 
     def test_equal_diagonal_blocks_share_one_inverse(self, monkeypatch):
         # one 1 / a_ii serves every row when the blocks are equal, with the
-        # values of the per-row inverse
+        # values of the per-row inverse, all in float32
         a = _random_field(6, grid=GridSpec(3, 16))
         x = np.random.default_rng(6).standard_normal(a.grid.shape)
         seen = []
@@ -274,11 +293,12 @@ class TestSpectralPreconditioner:
         shared, each = seen
         assert np.shares_memory(shared[0, 0], shared[2, 2])
         assert not np.shares_memory(each[0, 0], each[2, 2])
-        b = 1.0 / np.einsum("ii...->i...", a.a)
+        b = (1.0 / np.einsum("ii...->i...", a.a)).astype(np.float32)
         b = np.broadcast_to(b[:, None], (3, 3) + a.grid.shape)
-        inv = elliptic._inverse_laplacian(a.grid.shape)
+        inv = elliptic._inverse_laplacian(a.grid.shape).astype(np.float32)
         want = elliptic._spectral_multiply(divform_apply(
-            b, elliptic._spectral_multiply(x, inv), ((0,), (1,), (2,))), inv)
+            b, elliptic._spectral_multiply(x.astype(np.float32), inv),
+            ((0,), (1,), (2,))), inv).astype(np.float64)
         assert np.array_equal(got, want)
         assert not np.array_equal(other, want)
 
@@ -291,6 +311,62 @@ class TestSpectralPreconditioner:
         _, rep = solve_divform(a, g, SolveOptions(tol=1e-10))
         assert rep.converged
         assert rep.iterations <= 11
+
+
+class TestMixedPrecision:
+    """The sandwich runs in float32 between float64 Krylov vectors."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 16)])
+    def test_float64_in_and_out(self, grid, nu):
+        # scipy's BiCGStab passes the output to the float64 matvec
+        field = _random_field(3, nu=nu, grid=grid)
+        x = np.random.default_rng(3).standard_normal(grid.shape)
+        before = x.copy()
+        out = elliptic.operator(field).precond(x)
+        assert out.dtype == np.float64 and out.shape == grid.shape
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    @pytest.mark.parametrize("grid", [GRID, GridSpec(3, 16)])
+    def test_matches_the_float64_sandwich(self, grid, nu):
+        # measured <= 3.9 eps32 on seeds 0-7
+        field = _random_field(4, nu=nu, grid=grid)
+        x = np.random.default_rng(4).standard_normal(grid.shape)
+        want = float64_sandwich(field)(x)
+        got = elliptic.operator(field).precond(x)
+        assert np.max(np.abs(got - want)) <= 8 * EPS32 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_steps_of_the_float64_sandwich(self, seed, nu):
+        # CG takes the float64 reference's steps; BiCGStab at most one more
+        # (measured equal on these seeds)
+        a = _random_field(seed, nu=nu)
+        g = np.random.default_rng(seed).standard_normal((2,) + GRID.shape)
+        opts = SolveOptions(tol=1e-10)
+        _, want = solve_divform(_float64_operator(a), g, opts)
+        _, got = solve_divform(a, g, opts)
+        assert got.converged and want.converged
+        if nu == 0.0:
+            assert got.iterations == want.iterations
+        else:
+            assert want.iterations <= got.iterations <= want.iterations + 1
+
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+    def test_ball_preconditioner_float64_in_and_out(self, d, n):
+        # the DST-I pair runs in float32; zero outside the mask
+        grid = GridSpec(d, n)
+        mask = ball_mask(grid, Ball((0.0,) * d, n / 4))
+        r = np.where(mask, np.random.default_rng(d).standard_normal(
+            grid.shape), 0.0)
+        got = elliptic._dirichlet_inverse(0.7, mask)(r)
+        sym = 0.7 * laplacian_symbol((2 * (n + 1),) * d)[
+            (slice(1, n + 1),) * d]
+        want = np.where(mask, idstn(dstn(r, type=1) / sym, type=1), 0.0)
+        assert got.dtype == np.float64
+        assert np.all(got[~mask] == 0.0)
+        assert np.max(np.abs(got - want)) <= 8 * EPS32 * np.max(np.abs(want))
 
 
 class TestDivformReference:
