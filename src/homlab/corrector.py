@@ -118,14 +118,15 @@ class CorrectorSet:
         return SkewField(vals, d)
 
 
-def compute_corrector(a: CoefficientField, opts: SolveOptions = None,
-                      directions=None):
+def compute_corrector(a, opts: SolveOptions = None, directions=None):
     """phi_i for the requested directions (all by default), stacked in
-    the order requested: shape (len(directions),) + grid."""
+    the order requested: shape (len(directions),) + grid; ``a`` is a
+    ``CoefficientField`` or its ``elliptic.Operator``."""
+    op = operator(a)
+    a = op.field
     directions = range(a.grid.d) if directions is None else directions
     phi = np.empty((len(directions),) + a.grid.shape)
     reports = []
-    op = operator(a)
     for row, i in enumerate(directions):
         phi[row], rep = solve_divform(op, a.a[:, i], opts)  # g = a e_i
         reports.append(rep)
@@ -187,10 +188,11 @@ def extended_spectra(corr: CorrectorSet):
                                         for s in map(rfftn, _curls(corr))))
 
 
-def build_corrector_set(a: CoefficientField, opts: SolveOptions = None):
-    """The set of the correctors of all d directions; its a_hom is made on
-    first access."""
-    return CorrectorSet(a, *compute_corrector(a, opts))
+def build_corrector_set(a, opts: SolveOptions = None):
+    """The set of the correctors of all d directions of a field or its
+    ``elliptic.Operator``; its a_hom is made on first access."""
+    op = operator(a)
+    return CorrectorSet(op.field, *compute_corrector(op, opts))
 
 
 def save_corrector_set(corr: CorrectorSet, outdir):

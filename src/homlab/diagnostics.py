@@ -48,9 +48,10 @@ class MinimalRadiusReport:
 
     def r_star(self, delta):
         """The smallest dyadic r whose whole dyadic tail has ``values`` <=
-        delta; inf sentinel if none."""
-        if not delta > 0:  # raises for nan too
-            raise ValueError(f"delta must be positive, got {delta}")
+        delta, 0 < delta < inf; inf sentinel if none."""
+        if not 0 < delta < np.inf:  # raises for nan too
+            raise ValueError(f"delta must be positive and finite, got "
+                             f"{delta}")
         tail_ok = np.logical_and.accumulate((self.values <= delta)[::-1])[::-1]
         hits = np.nonzero(tail_ok)[0]
         return float(self.radii[hits[0]]) if hits.size else np.inf

@@ -11,7 +11,7 @@ from scipy.fft import fftfreq, rfftfreq
 from .corrector import build_corrector_set, compute_corrector, extended_rows
 from .diagnostics import (dyadic_radii, excess_decay_experiment,
                           growth_profile, minimal_radius)
-from .elliptic import SolveOptions, solve_divform_rhs
+from .elliptic import SolveOptions, operator, solve_divform_rhs
 from .lattice import (Ball, GridSpec, _pdiff, _spectral_multiply,
                       ball_average, grad)
 from .randomfield import (CoefficientModel, CovarianceSpec, SeedSpec,
@@ -72,8 +72,9 @@ class ExperimentPlan:
                 raise ValueError(f"{name} {labels} repeat a record label")
         if self.kind == "twoscale" and len(self.grids) < 2:
             raise ValueError("twoscale needs at least two grids for a rate")
-        if not (self.delta > 0 and all(x > 0 for x in self.deltas)):
-            raise ValueError("minimal-radius thresholds must be positive")
+        if not all(0 < x < np.inf for x in (self.delta, *self.deltas)):
+            raise ValueError("minimal-radius thresholds must be positive "
+                             "and finite")
         self.opts()  # SolveOptions checks tol and max_iter
         if not self.constant_model:
             CoefficientModel(self.lam, self.nu)
@@ -153,16 +154,16 @@ def _run_twoscale(plan, index):
     vals = {}
     for n in plan.grids:
         grid = plan.grid(n)
-        a = sample_coefficients(plan, index, n=n)
+        op = operator(sample_coefficients(plan, index, n=n))
         opts = plan.opts()
-        corr = build_corrector_set(a, opts)
+        corr = build_corrector_set(op, opts)
         ellip = float(np.min(np.linalg.eigvalsh(
             (corr.a_hom + corr.a_hom.T) / 2)))
         if ellip <= 1e-10:
             raise RuntimeError("homogenized tensor ill-conditioned")
         phi = corr.phi
         f = _product_sine(grid)
-        gu = grad(solve_divform_rhs(a, f, opts)[0])
+        gu = grad(solve_divform_rhs(op, f, opts)[0])
         gh = grad(_constant_coefficient_solve(corr.a_hom, f))
         twoscale = gh.copy()
         for i in range(grid.d):

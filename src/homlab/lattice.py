@@ -184,19 +184,29 @@ def _ball_kernel_hat(grid: GridSpec, radius):
     return rfftn(kern)
 
 
+@lru_cache(maxsize=8)
+def _ball_variance_weight(grid: GridSpec, radius):
+    """Read-only 1 - |``_ball_kernel_hat(grid, radius)``|^2."""
+    weight = np.abs(_ball_kernel_hat(grid, radius))
+    np.square(weight, out=weight)  # in place: the cache holds one array
+    np.subtract(1.0, weight, out=weight)
+    weight.flags.writeable = False
+    return weight
+
+
 def mean_ball_variance(spectra, radii, grid: GridSpec):
     """Per radius R, sum over components u of the torus mean over x of the
     variance of u on B_R(x), from the rfft half spectra u_hat: by Parseval
     sum_k w_k |u_hat_k|^2 (1 - |K_hat_R,k|^2) / N^2 (N cells), with w_k = 2
-    off the k_last = 0, n/2 planes (a half-spectrum entry stands for +-k)."""
+    off the k_last = 0, n/2 planes (a half-spectrum entry stands for +-k);
+    the weight 1 - |K_hat_R|^2 is made once per grid and radius."""
     power = 0.0
     for spec in spectra:
         power += np.abs(spec) ** 2
     power[..., 1:-1] *= 2.0
     cells = float(grid.n**grid.d)
-    return np.array([
-        float(np.vdot(power, 1.0 - np.abs(_ball_kernel_hat(grid, r)) ** 2))
-        / cells**2 for r in radii])
+    return np.array([float(np.vdot(power, _ball_variance_weight(grid, r)))
+                     / cells**2 for r in radii])
 
 
 def ball_mean_field(u, radius, grid: GridSpec):

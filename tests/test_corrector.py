@@ -14,7 +14,7 @@ from homlab.corrector import (CorrectorSet, SkewField, build_corrector_set,
                               compute_corrector, extended_rows,
                               extended_spectra, save_corrector_set,
                               sigma_component)
-from homlab.elliptic import SolveError, SolveOptions
+from homlab.elliptic import SolveError, SolveOptions, operator
 from homlab.diagnostics import growth_profile
 from homlab.lattice import (GridSpec, div, grad, load_field,
                             mean_ball_variance, poisson_solve)
@@ -117,6 +117,18 @@ class TestCorrector:
         rep = exc.value.report
         assert (rep.iterations, rep.converged) == (2, False)
         assert rep.residual > SolveOptions().tol
+
+    @pytest.mark.parametrize("nu", [0.0, 0.2])
+    def test_operator_in_place_of_its_field(self, nu):
+        # an Operator stands for its field, bit for bit, and is not rebuilt
+        a = _random_field(2, nu=nu)
+        op = operator(a)
+        phi, reports = compute_corrector(a, OPTS)
+        corr = build_corrector_set(op, OPTS)
+        assert corr.a is a
+        assert np.array_equal(corr.phi, phi)
+        assert corr.reports == reports
+        assert operator(op) is op
 
     def test_constant_coefficients_zero(self):
         a = constant_coefficients(GRID, 0.7 * np.eye(2))

@@ -189,6 +189,12 @@ class TestMinimalRadius:
         with pytest.raises(ValueError, match="positive"):
             minimal_radius(corr).r_star(np.nan)
 
+    def test_infinite_delta_rejected(self):
+        # every radius passes an infinite threshold: unchecked, r_* reads 1
+        a, corr = _corr(4)
+        with pytest.raises(ValueError, match="finite"):
+            minimal_radius(corr).r_star(np.inf)
+
     @pytest.mark.parametrize("center", [(np.nan, 0.0), (np.inf, 0.0)])
     def test_non_finite_center_rejected(self, center):
         # unchecked, it gives the inf sentinel: "no admissible scale"

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homlab import diagnostics, ensemble, kernels, lattice
+from homlab import diagnostics, elliptic, ensemble, kernels, lattice
 from homlab.corrector import build_corrector_set
 from homlab.elliptic import SolveError, SolveOptions
 from homlab.ensemble import (ExperimentPlan, fit_linear, fit_power_law,
@@ -43,6 +43,8 @@ class TestPlan:
     @pytest.mark.parametrize("bad", [
         dict(radii=(0.25,)), dict(grids=(16, 15)), dict(delta=0.0),
         dict(deltas=(0.1, -0.1)), dict(tol=0.1), dict(max_iter=0),
+        # an infinite threshold passes every radius: r_* would read 1
+        dict(delta=np.inf), dict(deltas=(np.inf,)),
         dict(lam=1.5), dict(nu=0.5), dict(gamma=0.0), dict(gamma=1.5),
         dict(gamma=np.nan), dict(gamma=np.inf), dict(nu=np.nan),
         # repeated record labels: f"{r:g}" reads 2.0000001 as 2
@@ -333,6 +335,22 @@ class TestRunEnsemble:
         out = summarize(plan, run_ensemble(plan))
         assert len(out["errors"]) == 2
         assert out["errors"][1] < out["errors"][0]
+
+    def test_twoscale_builds_one_operator_per_grid(self, monkeypatch):
+        # the corrector set and the two-scale solve share the grid's
+        # operator; building one per solve gave two per grid
+        built = []
+        init = elliptic.Operator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0].grid.n)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(elliptic.Operator, "__init__", counting)
+        plan = ExperimentPlan(kind="twoscale", n=16, m=2, master_seed=1,
+                              grids=(16, 32))
+        ensemble._run_twoscale(plan, 0)
+        assert built == [16, 32]
 
     def test_unconverged_ball_solve_fails_realization(self, monkeypatch):
         real = diagnostics.solve_dirichlet_ball

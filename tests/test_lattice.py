@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import irfftn, rfftn
 
+from homlab import lattice
 from homlab.lattice import (Ball, GridSpec, _grad_at, _inverse_laplacian,
                             _pdiff, _spectral_multiply, ball_average,
                             ball_mask, ball_mean_field, div, grad,
-                            laplacian_symbol, load_field, periodic_dist_sq,
-                            poisson_solve, save_field)
+                            laplacian_symbol, load_field, mean_ball_variance,
+                            periodic_dist_sq, poisson_solve, save_field)
 
 
 def _rng(seed=0):
@@ -250,6 +251,38 @@ class TestBalls:
         g = GridSpec(2, 32)
         with pytest.raises(ValueError, match="outside"):
             ball_mean_field(np.zeros(g.shape), radius, g)
+
+    def test_ball_variance_weight_made_once_per_grid_and_radius(
+            self, monkeypatch):
+        # the weight 1 - |K_R|^2 is cached: two calls over two radii and two
+        # grids build each kernel once, and V(R) is byte-identical to the
+        # weight built on every call
+        built = []
+        real = lattice._ball_kernel_hat
+
+        def spy(grid, radius):
+            built.append((grid.d, grid.n, float(radius)))
+            return real(grid, radius)
+
+        monkeypatch.setattr(lattice, "_ball_kernel_hat", spy)
+        lattice._ball_variance_weight.cache_clear()
+        grids = (GridSpec(2, 32), GridSpec(3, 16))
+        got = []
+        for _ in range(2):
+            for g in grids:
+                spectra = [rfftn(_rng(g.d + k).standard_normal(g.shape))
+                           for k in range(2)]
+                got.append(mean_ball_variance(spectra, (1.0, 2.0), g))
+        assert sorted(built) == [(2, 32, 1.0), (2, 32, 2.0),
+                                 (3, 16, 1.0), (3, 16, 2.0)]
+        assert all(np.array_equal(x, y) for x, y in zip(got[:2], got[2:]))
+        for g, v in zip(grids, got):
+            power = sum(np.abs(rfftn(_rng(g.d + k).standard_normal(g.shape)))
+                        ** 2 for k in range(2))
+            power[..., 1:-1] *= 2.0
+            want = [float(np.vdot(power, 1.0 - np.abs(real(g, r)) ** 2))
+                    / float(g.n**g.d) ** 2 for r in (1.0, 2.0)]
+            assert v.tobytes() == np.array(want).tobytes()
 
     def test_periodic_distance_wraps(self):
         g = GridSpec(2, 16)
